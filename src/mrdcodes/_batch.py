@@ -30,10 +30,12 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     column from every other row.  Matrices without a pivot in the column are
     masked out of the update.
     """
-    m = np.ascontiguousarray(mats, dtype=np.int32)
+    # products of two entries below p must fit the working dtype
+    dtype = np.int32 if (p - 1) ** 2 < 1 << 31 else np.int64
+    m = np.ascontiguousarray(mats, dtype=dtype)
     B, r, c = m.shape
     used = np.zeros((B, r), dtype=bool)
-    inv = inverse_table(p).astype(np.int32)
+    inv = inverse_table(p).astype(dtype)
     bindex = np.arange(B)
     tmp = np.empty_like(m)
     for col in range(c):
@@ -203,18 +205,6 @@ def _one_scalar_coords(tower):
         if acc == 1:
             return np.array(combo, dtype=np.int64)
     raise RuntimeError("1 not in subfield basis span (internal fault)")
-
-
-def fq_index_to_element(tower, m: int) -> int:
-    """The m-th F_q element in the scan's digit order."""
-    p, e = tower.p, tower.e
-    bas = tower.fq_basis_fp
-    acc = 0
-    for i in range(e):
-        c = (m // p ** (e - 1 - i)) % p
-        if c:
-            acc = tower.add(acc, tower.mul(tower.embed_fp(c), bas[i]))
-    return acc
 
 
 # ---- vector field ops on packed-int arrays (Zech tables required) ------------

@@ -79,26 +79,10 @@ def _verdict_exit(verdict: str) -> int:
     return {"MRD": 0, "NOT_MRD": 1, "UNKNOWN": 2}.get(verdict, 4)
 
 
-def _select_engine(code: SupportCode, budget: int, workers: int):
-    """gcd filter first, then the family-specific criteria, then the sweep."""
-    t = code.tower
-    T = code.q_support()
-    if not verify.gcd_filter(T, t.n, code.k):
-        return verify._gcd_certificate(t, T)
-    canon = verify.shift_canonical(T, t.n)
-    d_canon = verify._d_family_canonicals(t.n, code.k)
-    if canon in d_canon:
-        return verify.n9_witness(t, d_canon[canon], budget=budget)
-    if code.k == 3 and t.n >= 5 and canon == verify.shift_canonical((0, 1, 3), t.n) \
-            and t.order <= verify.ENUM_CAP:
-        return verify.trinomial_criterion(t, workers=workers)
-    return verify.exhaustive_scan(code, budget=budget, workers=workers)
-
-
 def cmd_verify(args) -> int:
     tower = _tower(args)
     code = _code(args, tower)
-    cert = _select_engine(code, args.budget, args.workers)
+    cert = verify.decide(code, args.budget, args.workers)
     if not verify.validate_certificate(cert):
         raise RuntimeError("certificate failed self-validation")
     _emit(args, cert.to_json())

@@ -401,8 +401,6 @@ class FieldTower:
         cofactors = [(self.order - 1) // ell for ell in fac]
         for m in range(1, self.order):
             h = self.element_at(m)
-            if h == 0 or h == 1:
-                continue
             if all(self._pow_fallback(h, c) != 1 for c in cofactors):
                 return h
         raise RuntimeError("no primitive element found (internal fault)")
@@ -430,18 +428,19 @@ class FieldTower:
     def _build_tables(self):
         Q, d, p = self.order, self.degree, self.p
         h = self._find_primitive()
-        digits = np.zeros((Q - 1, d), dtype=np.int16)
+        # the digit matmul sums d products of digits below p
+        dtype = np.int16 if d * (p - 1) ** 2 < 1 << 15 else np.int64
+        digits = np.zeros((Q - 1, d), dtype=dtype)
         digits[0, 0] = 1  # the element 1
         filled = 1
         hs = h  # h^filled, maintained by fallback arithmetic
         while filled < Q - 1:
             step = min(filled, Q - 1 - filled)
-            M = np.zeros((d, d), dtype=np.int16)
+            M = np.zeros((d, d), dtype=dtype)
             y = hs
             for j in range(d):
                 M[:, j] = self.coords(y)
                 y = self._mul_fallback(y, self.generator)
-            # entries bounded by d*(p-1)^2 < 2^15 for every supported tower
             digits[filled:filled + step] = digits[:step] @ M.T % p
             hs = self._mul_fallback(hs, self._pow_fallback(h, step))
             filled += step

@@ -7,16 +7,20 @@ dimension at most k-1 over F_q.  The engines here decide that by:
     representatives, batched;
   * trinomial_criterion -- the support {0,1,3} reduces to: for every t in
     F_{q^n}, the kernel of Z^{q^2} + Z^q + tZ meets the trace-zero hyperplane
-    in dimension at most 1;
+    in dimension at most 1.  Each nonzero Z is a root of the one trinomial
+    with t(Z) = -(Z^{q^2} + Z^q)/Z, so a histogram of t(Z) over the nonzero
+    trace-zero Z, taken through the Zech tables, decides every t at once: a
+    bin with q^2 - 1 or more hits is a 2-dimensional kernel meet;
   * n9_witness -- for n = 9 and supports {0,s,2s,4s}, an explicit rank-5
     codeword built from a cubic-subfield constant with prescribed relative
     trace and norm;
   * gcd_filter -- supports with a pair of exponents whose difference shares
     a large gcd with n are refuted by a subfield-kernel codeword.
 
-Every NOT_MRD certificate carries a witness codeword whose kernel dimension
-is re-validated through the literal q-circulant elimination before the
-certificate is emitted, so certificates are self-checking.
+`decide` is the one dispatch between them.  Every NOT_MRD certificate
+carries a witness codeword whose kernel dimension is re-validated through
+the literal q-circulant elimination before the certificate is emitted, so
+certificates are self-checking.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _batch
-from .fields import CapExceeded, ENUM_CAP, make_tower
+from .fields import CapExceeded, TABLE_CAP, _nullspace_modp, make_tower
 from .linpoly import LinPoly
 from .codes import SupportCode
 
@@ -40,6 +44,7 @@ BATCH = 1 << 16
 VERDICT_MRD = "MRD"
 VERDICT_NOT_MRD = "NOT_MRD"
 VERDICT_UNKNOWN = "UNKNOWN"
+METHODS = ("scan", "moore", "trinomial", "witness", "curve")
 
 
 @dataclass
@@ -47,7 +52,7 @@ class Certificate:
     """Machine-checkable verdict record."""
     code_desc: dict
     verdict: str
-    method: str          # scan | moore | trinomial | witness | curve
+    method: str          # one of METHODS
     witness: dict | None
     scanned: int
     tower: dict
@@ -68,12 +73,20 @@ class Certificate:
 
 
 def validate_certificate(cert: Certificate) -> bool:
-    """Re-check a certificate from scratch: a NOT_MRD witness codeword must lie
-    in the code and have kernel dimension >= k by q-circulant elimination; an
-    MRD scan must have covered the whole representative count."""
+    """Re-check a certificate from scratch.
+
+    A NOT_MRD witness codeword must lie in the code and have kernel dimension
+    >= k by q-circulant elimination.  An MRD certificate must report the full
+    count its method sweeps: the (Q^k-1)/(Q-1) representatives of a scan, the
+    q^n values of t of the trinomial criterion, the q^{2n} points of the curve
+    engine, the unordered F_q-independent k-sets of projective points of the
+    Moore sweep.  The trinomial and curve methods decide {0,1,3} alone, and
+    every MRD verdict on a {0,1,3} support (up to shift, n >= 5, Zech tables
+    present) must agree with a fresh run of the trinomial criterion.  Unknown
+    methods fail."""
     tw = make_tower(cert.tower["p"], cert.tower["e"], cert.tower["n"])
     desc = cert.code_desc
-    if desc.get("kind") != "support":
+    if desc.get("kind") != "support" or cert.method not in METHODS:
         return False
     code = SupportCode(tw, desc["T"], desc.get("s", 1))
     if cert.verdict == VERDICT_NOT_MRD:
@@ -81,9 +94,24 @@ def validate_certificate(cert: Certificate) -> bool:
             return False
         f = LinPoly.from_json(tw, cert.witness["codeword"])
         return (not f.is_zero()) and code.contains(f) and f.kernel_dim() >= code.k
-    if cert.verdict == VERDICT_MRD and cert.method == "scan":
-        return cert.scanned == _batch.projective_index_total(tw, code.k)
-    return cert.verdict in (VERDICT_MRD, VERDICT_UNKNOWN)
+    if cert.verdict != VERDICT_MRD:
+        return cert.verdict == VERDICT_UNKNOWN
+    q, n, k = tw.q, tw.n, code.k
+    full = {"scan": _batch.projective_index_total(tw, k),
+            "trinomial": tw.order,
+            "curve": tw.order ** 2,
+            "moore": math.prod((q ** n - q ** i) // (q - 1) for i in range(k))
+            // math.factorial(k)}.get(cert.method)
+    if cert.scanned != full:
+        return False
+    support013 = shift_equivalent(code.q_support(), (0, 1, 3), n) is not None
+    if cert.method == "trinomial" and not support013:
+        return False
+    if cert.method == "curve" and code.q_support() != (0, 1, 3):
+        return False
+    if support013 and n >= 5 and tw.order <= TABLE_CAP:
+        return trinomial_criterion(tw).verdict == VERDICT_MRD
+    return cert.method not in ("trinomial", "curve")
 
 
 def _ms(t0: float) -> float:
@@ -240,44 +268,45 @@ def artin_schreier_preimage(tower, z: int) -> int:
 def trinomial_criterion(tower, workers: int = 1) -> Certificate:
     """MRD verdict for the support {0,1,3}: for every t in F_{q^n} the kernel
     of Z^{q^2} + Z^q + tZ must meet the trace-zero hyperplane in F_q-dimension
-    at most 1.  Scans all q^n values of t."""
+    at most 1.
+
+    Every nonzero Z is a root of exactly one of these trinomials, the one with
+    t(Z) = -(Z^{q^2} + Z^q)/Z, so the bin of t in the histogram of t(Z) over
+    the nonzero trace-zero Z holds q^m - 1 hits, m the dimension of that
+    kernel meet.  The bad t are the bins with at least q^2 - 1 hits.
+    `scanned` counts the values of t decided in canonical order: q^n for MRD,
+    the first bad canonical index plus one otherwise.  Needs the Zech tables
+    (CapExceeded without them).  `workers` has no effect."""
     t0 = time.perf_counter()
     tw = tower
     if tw.n < 5:
         raise ValueError("the {0,1,3} support needs n >= 5")
-    if tw.order > ENUM_CAP:
-        raise CapExceeded("t-loop exceeds the enumeration cap")
+    if tw.tables is None:
+        raise CapExceeded("the t(Z) histogram needs the Zech tables")
+    exp, log = tw.tables
     code = SupportCode(tw, (0, 1, 3), 1)
-    d, e, p = tw.degree, tw.e, tw.p
-    base = (tw.frob_q_matrix(2) + tw.frob_q_matrix(1)) % p
-    # t-dependent part: multiplication by t, linear in t's coordinates
-    L = np.zeros((d, d * d), dtype=np.int64)
-    b = 1
-    for j in range(d):
-        L[j] = tw.mult_matrix(b).reshape(-1)
-        b = tw.mul(b, tw.generator)
-    trace_rows = _trace_rows(tw)
-    need = d - e  # stacked rank below this means a 2-dimensional trace-zero kernel
-    Q = tw.order
-    scanned = 0
-    bad_t = None
-    for start in range(0, Q, BATCH):
-        count = min(BATCH, Q - start)
-        idx = np.arange(start, start + count, dtype=np.int64)
-        coords = _batch.element_coord_columns(idx, p, d)
-        mats = (base[None, :, :] + (coords @ L).reshape(count, d, d)) % p
-        stacked = np.concatenate(
-            [mats, np.broadcast_to(trace_rows, (count, e, d))], axis=1)
-        ranks = _batch.batch_rank(stacked, p)
-        bad = np.nonzero(ranks < need)[0]
-        if bad.size:
-            scanned += int(bad[0]) + 1
-            bad_t = tw.element_at(start + int(bad[0]))
-            break
-        scanned += count
-    if bad_t is None:
+    d, p, q, Q = tw.degree, tw.p, tw.q, tw.order
+    base = (tw.frob_q_matrix(2) + tw.frob_q_matrix(1)) % p  # Z -> Z^{q^2} + Z^q
+    hyper = np.array(_nullspace_modp(_trace_rows(tw), p))    # trace-zero F_p-basis
+    packing = p ** np.arange(d, dtype=np.int64)
+    log_minus_one = 0 if p == 2 else (Q - 1) // 2
+    total = p ** len(hyper)
+    t_of_z = []
+    for start in range(1, total, BATCH):   # combination 0 is Z = 0
+        idx = np.arange(start, min(start + BATCH, total), dtype=np.int64)
+        zc = _batch.element_coord_columns(idx, p, len(hyper)) @ hyper % p
+        z = zc @ packing
+        w = (zc @ base.T % p) @ packing
+        tz = exp[(log[w] - log[z] + log_minus_one) % (Q - 1)]
+        tz[w == 0] = 0
+        t_of_z.append(tz)
+    counts = np.bincount(np.concatenate(t_of_z), minlength=Q)
+    bad = np.flatnonzero(counts >= q * q - 1)
+    if bad.size == 0:
         return Certificate(code.descriptor(), VERDICT_MRD, "trinomial", None,
                            Q, tw.descriptor(), _ms(t0))
+    first = int(tw.canonical_index(bad).min())
+    bad_t = tw.element_at(first)
     z1, z2 = _trace_zero_kernel_pair(tw, bad_t)
     f = _codeword_from_h_point(tw, z1, z2)
     kd = f.kernel_dim()
@@ -287,7 +316,7 @@ def trinomial_criterion(tower, workers: int = 1) -> Certificate:
                "trace_zero_roots": [tw.coords(z1), tw.coords(z2)],
                "codeword": f.to_json(), "kernel_dim": kd}
     return Certificate(code.descriptor(), VERDICT_NOT_MRD, "trinomial", witness,
-                       scanned, tw.descriptor(), _ms(t0))
+                       first + 1, tw.descriptor(), _ms(t0))
 
 
 def _trace_rows(tower) -> np.ndarray:
@@ -314,7 +343,6 @@ def _trace_zero_kernel_pair(tower, t_elem):
     # the basis may mix trace-zero and other elements; rebuild inside the
     # intersection via the stacked F_p kernel when needed
     if len(cand) < 2:
-        from .fields import _nullspace_modp
         d, e, p = tower.degree, tower.e, tower.p
         stacked = np.concatenate([f.map_matrix_fp(), _trace_rows(tower)], axis=0)
         elems = [tower.element([int(v) for v in vec])
@@ -359,7 +387,6 @@ def _codeword_from_h_point(tower, z1, z2) -> LinPoly:
 
 def cubic_subfield_elements(tower) -> list[int]:
     """Elements of F_{q^3} inside F_{q^9}, canonical order."""
-    from .fields import _nullspace_modp
     d, p = tower.degree, tower.p
     A = (tower.frob_q_matrix(3) - np.eye(d, dtype=np.int64)) % p
     basis = _nullspace_modp(A, p)
@@ -521,8 +548,7 @@ def classify(tower, k: int, budget: int = DEFAULT_BUDGET,
     orbits = sorted({shift_canonical((0,) + rest, n)
                      for rest in itertools.combinations(range(1, n), k - 1)}) \
         if k > 1 else [(0,)]
-    d_canon = _d_family_canonicals(n, k)
-    special = set(d_canon)
+    special = set(_d_family_canonicals(n, k))
     if n >= 5 and k == 3:
         special.add(shift_canonical((0, 1, 3), n))
 
@@ -548,10 +574,7 @@ def classify(tower, k: int, budget: int = DEFAULT_BUDGET,
         if not entry.gabidulin:
             if not gcd_filter(T, n, k):
                 entry.removed_by = "gcd"
-                entry.certificate = _gcd_certificate(tower, T)
-            else:
-                entry.certificate = _dispatch_engine(
-                    tower, T, k, d_canon, budget, workers)
+            entry.certificate = decide(SupportCode(tower, T, 1), budget, workers)
         out.entries.append(entry)
     return out
 
@@ -569,14 +592,23 @@ def _gcd_certificate(tower, T) -> Certificate:
                        0, tower.descriptor(), _ms(t0))
 
 
-def _dispatch_engine(tower, T, k, d_canon, budget, workers) -> Certificate:
-    if T in d_canon:
-        return n9_witness(tower, d_canon[T], budget=budget)
-    if k == 3 and tower.n >= 5 and T == shift_canonical((0, 1, 3), tower.n) \
-            and tower.order <= ENUM_CAP:
-        return trinomial_criterion(tower, workers=workers)
-    return exhaustive_scan(SupportCode(tower, T, 1), budget=budget,
-                           workers=workers)
+def decide(code: SupportCode, budget: int = DEFAULT_BUDGET,
+           workers: int = 1) -> Certificate:
+    """The one engine dispatch: the gcd filter first, then the n = 9 witness
+    for {0,s,2s,4s}, the trinomial criterion for {0,1,3} (up to shift, when
+    the Zech tables exist), and the exhaustive scan of `code` otherwise."""
+    tower, T, k = code.tower, code.q_support(), code.k
+    n = tower.n
+    if not gcd_filter(T, n, k):
+        return _gcd_certificate(tower, T)
+    canon = shift_canonical(T, n)
+    d_canon = _d_family_canonicals(n, k)
+    if canon in d_canon:
+        return n9_witness(tower, d_canon[canon], budget=budget)
+    if k == 3 and n >= 5 and canon == shift_canonical((0, 1, 3), n) \
+            and tower.order <= TABLE_CAP:
+        return trinomial_criterion(tower)
+    return exhaustive_scan(code, budget=budget, workers=workers)
 
 
 # ----------------------------------------------------------------------------

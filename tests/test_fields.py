@@ -1,8 +1,11 @@
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from mrdcodes import _batch, _linalg
 from mrdcodes.fields import (CapExceeded, factorize, is_prime, make_tower,
                              tower_from_descriptor)
 
@@ -161,3 +164,40 @@ def test_descriptor_roundtrip():
 def test_helpers():
     assert is_prime(2) and is_prime(97) and not is_prime(91)
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
+
+
+@st.composite
+def small_towers(draw):
+    """(p, e, n) with at most 2^16 elements, F_2 and large p included."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13, 181, 251)))
+    d_max = max(d for d in range(1, 17) if p ** d <= 1 << 16)
+    d = draw(st.integers(1, d_max))
+    e = draw(st.sampled_from([e for e in range(1, d + 1) if d % e == 0]))
+    return p, e, d // e
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_towers(), st.lists(st.tuples(st.integers(0, 1 << 32),
+                                          st.integers(0, 1 << 32)),
+                                min_size=1, max_size=25))
+@example((251, 1, 1), [(i, 37 * i + 5) for i in range(200)])
+@example((181, 1, 2), [(i, 91 * i + 17) for i in range(200)])
+def test_table_mul_matches_fallback(pen, raw):
+    # an int16 digit matmul overflowed the table build at p=251 and p=181
+    t = make_tower(*pen)
+    assert t.tables is not None
+    for a, b in raw:
+        a, b = 1 + a % (t.order - 1), 1 + b % (t.order - 1)
+        assert t.mul(a, b) == t._mul_fallback(a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((2, 3, 46349, 65537)), st.integers(1, 4), st.integers(1, 4),
+       st.randoms(use_true_random=False))
+def test_batch_rank_matches_elimination(p, r, c, rnd):
+    # int32 products of two entries overflow once (p-1)^2 >= 2^31
+    mats = np.array([[[rnd.choice((0, 1, p - 1, rnd.randrange(p)))
+                       for _ in range(c)] for _ in range(r)] for _ in range(8)],
+                    dtype=np.int64)
+    want = [_linalg.rank(make_tower(p, 1, 1), m.tolist(), c) for m in mats]
+    assert _batch.batch_rank(mats.copy(), p).tolist() == want

@@ -4,12 +4,54 @@ import random
 
 import pytest
 
-from mrdcodes import verify
+import numpy as np
+
+from mrdcodes import _batch, curves, moore, verify
 from mrdcodes.codes import SupportCode, gabidulin, named_family
 from mrdcodes.fields import make_tower
 from mrdcodes.linpoly import LinPoly
 
 rng = random.Random(0x5CA1)
+
+PE = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+
+
+def rank_sweep_criterion(tw):
+    """Reference for trinomial_criterion: row-reduce, for every t in canonical
+    order, the map Z -> Z^{q^2} + Z^q + tZ stacked on the relative trace; a
+    rank below d - e is a 2-dimensional trace-zero kernel."""
+    code = SupportCode(tw, (0, 1, 3), 1)
+    d, e, p, Q = tw.degree, tw.e, tw.p, tw.order
+    base = (tw.frob_q_matrix(2) + tw.frob_q_matrix(1)) % p
+    L = np.stack([tw.mult_matrix(tw.pow(tw.generator, j)).reshape(-1)
+                  for j in range(d)])
+    trace_rows = verify._trace_rows(tw)
+    for start in range(0, Q, verify.BATCH):
+        count = min(verify.BATCH, Q - start)
+        idx = np.arange(start, start + count, dtype=np.int64)
+        coords = _batch.element_coord_columns(idx, p, d)
+        mats = (base[None, :, :] + (coords @ L).reshape(count, d, d)) % p
+        stacked = np.concatenate(
+            [mats, np.broadcast_to(trace_rows, (count, e, d))], axis=1)
+        bad = np.nonzero(_batch.batch_rank(stacked, p) < d - e)[0]
+        if bad.size:
+            bad_t = tw.element_at(start + int(bad[0]))
+            z1, z2 = verify._trace_zero_kernel_pair(tw, bad_t)
+            f = verify._codeword_from_h_point(tw, z1, z2)
+            witness = {"t": tw.coords(bad_t),
+                       "trace_zero_roots": [tw.coords(z1), tw.coords(z2)],
+                       "codeword": f.to_json(), "kernel_dim": f.kernel_dim()}
+            return verify.Certificate(code.descriptor(), "NOT_MRD", "trinomial",
+                                      witness, start + int(bad[0]) + 1,
+                                      tw.descriptor(), 0.0)
+    return verify.Certificate(code.descriptor(), "MRD", "trinomial", None, Q,
+                              tw.descriptor(), 0.0)
+
+
+def _untimed(cert):
+    out = cert.to_json()
+    out.pop("elapsed_ms")
+    return json.dumps(out, sort_keys=True)
 
 
 def test_gcd_filter():
@@ -104,6 +146,83 @@ def test_trinomial_counts_all_t():
 def test_trinomial_needs_room():
     with pytest.raises(ValueError):
         verify.trinomial_criterion(make_tower(2, 1, 4))
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (2, 6), (2, 7), (2, 8), (3, 5), (3, 6),
+                                 (3, 7), (3, 8), (4, 5), (4, 6), (4, 7), (5, 5),
+                                 (5, 6), (7, 5)])
+def test_trinomial_matches_rank_sweep(q, n):
+    t = make_tower(*PE[q], n)
+    assert _untimed(verify.trinomial_criterion(t)) == \
+        _untimed(rank_sweep_criterion(t))
+
+
+@pytest.mark.parametrize("q,n,verdict,scanned", [
+    (4, 8, "MRD", 65536), (7, 7, "MRD", 823543), (5, 7, "MRD", 78125),
+    (4, 7, "NOT_MRD", 648), (3, 9, "NOT_MRD", 1547), (5, 8, "NOT_MRD", 8841),
+    (4, 9, "NOT_MRD", 2053), (8, 6, "NOT_MRD", 131073), (8, 5, "MRD", 32768),
+    (9, 5, "MRD", 59049)])
+def test_trinomial_pinned_verdicts(q, n, verdict, scanned):
+    # values of the rank sweep, which takes seconds to minutes on these towers
+    cert = verify.trinomial_criterion(make_tower(*PE[q], n))
+    assert (cert.verdict, cert.scanned) == (verdict, scanned)
+
+
+def test_forged_certificates_rejected():
+    # C7 is NOT_MRD at q=2; MRD claims with the full counts must still fail
+    t = make_tower(2, 1, 7)
+    desc, tower = named_family("C7", t).descriptor(), t.descriptor()
+    ksets = 127 * 126 * 124 // 6  # unordered independent triples of points
+    for method, scanned in (("trinomial", 2 ** 7), ("curve", 2 ** 14),
+                            ("moore", ksets), ("oracle", 0)):
+        forged = verify.Certificate(desc, "MRD", method, None, scanned, tower, 0.0)
+        assert not verify.validate_certificate(forged), method
+    # right counts on an MRD code, but a method that cannot decide it
+    t = make_tower(2, 1, 6)
+    gab = gabidulin(t, 3, 1).descriptor()
+    for method, scanned in (("trinomial", 2 ** 6), ("curve", 2 ** 12)):
+        forged = verify.Certificate(gab, "MRD", method, None, scanned,
+                                    t.descriptor(), 0.0)
+        assert not verify.validate_certificate(forged), method
+    short = verify.Certificate(gab, "MRD", "moore", None, 1, t.descriptor(), 0.0)
+    assert not verify.validate_certificate(short)
+
+
+def test_genuine_certificates_validate():
+    t27, t25, t26 = make_tower(2, 1, 7), make_tower(2, 1, 5), make_tower(2, 1, 6)
+    certs = [
+        verify.exhaustive_scan(named_family("C7", t27)),
+        verify.exhaustive_scan(gabidulin(t26, 3, 1)),
+        verify.exhaustive_scan(named_family("C7", t27), budget=10),
+        verify.trinomial_criterion(make_tower(3, 1, 7)),
+        verify.trinomial_criterion(t27),
+        verify.trinomial_criterion(make_tower(2, 2, 7)),
+        verify.n9_witness(make_tower(2, 1, 9), 4),
+        verify._gcd_certificate(t26, (0, 3)),
+        curves.mrd_via_curve(t27),
+        curves.mrd_via_curve(make_tower(3, 1, 5)),
+        moore.mrd_by_moore(gabidulin(t25, 2, 1)),
+        moore.mrd_by_moore(SupportCode(t25, (0, 1, 3), 1)),
+        moore.mrd_by_moore(named_family("C7", t27)),
+        moore.mrd_by_moore(SupportCode(make_tower(3, 1, 4), (0, 1), 1)),
+    ]
+    certs += [e.certificate for e in verify.classify(t27, 3).entries if e.certificate]
+    assert {c.method for c in certs} == set(verify.METHODS)
+    assert {c.verdict for c in certs} == {"MRD", "NOT_MRD", "UNKNOWN"}
+    for cert in certs:
+        assert verify.validate_certificate(cert), cert.to_json()
+
+
+def test_decide_dispatch():
+    t = make_tower(2, 1, 9)
+    assert verify.decide(SupportCode(t, (0, 1, 3), 1)).method == "witness"  # gcd
+    assert verify.decide(named_family("Ds", t, s=4)).witness.get("c")
+    t7 = make_tower(3, 1, 7)
+    # shifted and twisted {0,1,3} supports go to the criterion
+    assert verify.decide(SupportCode(t7, (1, 2, 4), 1)).method == "trinomial"
+    assert verify.decide(SupportCode(t7, (0, 1, 3), 2)).method == "trinomial"
+    scan = verify.decide(SupportCode(t7, (0, 1, 2), 2), budget=10)
+    assert scan.method == "scan" and scan.code_desc["s"] == 2
 
 
 def test_n9_witness_all_cases():
