@@ -12,6 +12,8 @@ coordinates c_i = (m // p^(d-1-i)) % p.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -115,33 +117,131 @@ class SpanBlockMatrix:
         return flat.reshape(-1, self.d, self.d)
 
 
-def projective_blocks(tower, k, batch_size):
-    """Stream of (lead, tail_start, tail_count) covering the projective
-    representatives of F_{q^n}^k: lead coefficient = 1 at position `lead`,
-    earlier coefficients zero, remaining k-1-lead coefficients odometer-counted
-    (last support position fastest) in canonical element order."""
-    Q = tower.order
-    for lead in range(k):
-        total = Q ** (k - 1 - lead)
-        start = 0
-        while start < total:
-            count = min(batch_size, total - start)
-            yield lead, start, count
-            start += count
+class OrbitSweep:
+    """Canonical projective representatives of a support code's codewords.
+
+    f -> b*f(a*x) keeps rank and acts on coefficients as
+    c_i -> b * c_i * a^(q^u_i).  A projective representative has its lead
+    (first nonzero) coefficient 1 at position `lead`, which fixes b; on the
+    tail the action is log c_i -> log c_i + d_i * alpha with a = g^alpha and
+    d_i = q^u_i - q^u_lead mod G, G = Q - 1.  The canonical representative
+    of an orbit is its member of smallest raw index (tail coefficients
+    compared by canonical element index, first tail position most
+    significant), so the canonical representatives of an orbit-reduced
+    sweep come in raw order and the first bad one is the raw sweep's first
+    witness.
+
+    Walking the tail with the stabiliser "multiples of m in Z/G" (m = 1 at
+    the start), a nonzero c_i is canonical iff its index is the smallest in
+    the coset log c_i + gcd(G, m*d_i)Z, and then m <- G / gcd(G/m, d_i); a
+    zero keeps m.  The orbit size is the final m.  The allowed set at a
+    position depends only on m, and m only on the zero pattern so far, so
+    representatives are unranked position by position from the subtree
+    sizes.  Without Zech tables the group is taken trivial (every d_i = 0):
+    every representative is canonical with orbit size 1.
+    """
+
+    def __init__(self, tower, q_exponents):
+        self.tower = tower
+        self.k = len(q_exponents)
+        G = self.G = tower.order - 1
+        acts = tower.tables is not None
+        qpow = [pow(tower.q, u, G) for u in q_exponents]
+        self.diffs = [[(qu - qpow[lead]) % G * acts for qu in qpow[lead + 1:]]
+                      for lead in range(self.k)]
+        self._canon_of_log = None
+        self._allowed = {}
+        self._sizes = {}
+        self.counts = [self._size(lead, 0, 1) for lead in range(self.k)]
+
+    def _step(self, lead, j, m):
+        """(coset step s, next m) at tail position j under stabiliser step m."""
+        G, dj = self.G, self.diffs[lead][j]
+        return math.gcd(G, m * dj), G // math.gcd(G // m, dj)
+
+    def _size(self, lead, j, m):
+        """Number of canonical tails from position j on, given step m."""
+        key = (lead, j, m)
+        if key not in self._sizes:
+            if j == len(self.diffs[lead]):
+                self._sizes[key] = 1
+            else:
+                s, m2 = self._step(lead, j, m)
+                self._sizes[key] = (self._size(lead, j + 1, m)
+                                    + s * self._size(lead, j + 1, m2))
+        return self._sizes[key]
+
+    def _allowed_values(self, s):
+        """Sorted canonical indices of the nonzero elements that are the
+        smallest of their coset log + sZ (s a proper divisor of G)."""
+        if s not in self._allowed:
+            if self._canon_of_log is None:
+                exp, _ = self.tower.tables
+                self._canon_of_log = self.tower.canonical_index(exp[:self.G])
+            mins = self._canon_of_log.reshape(self.G // s, s).min(axis=0)
+            self._allowed[s] = np.sort(mins)
+        return self._allowed[s]
+
+    def representatives(self, lead, start, count):
+        """Canonical representatives #start..#start+count-1 of one lead:
+        (tails, raw, orbit), with tails the (count, k-1-lead) canonical
+        element indices of the tail coefficients, raw their raw tail
+        indices and orbit their orbit sizes."""
+        Q = self.tower.order
+        ntails = len(self.diffs[lead])
+        r = np.arange(start, start + count, dtype=np.int64)
+        m = np.ones(count, dtype=np.int64)
+        tails = np.zeros((count, ntails), dtype=np.int64)
+        for j in range(ntails):
+            m_next = m.copy()
+            for mv in np.unique(m).tolist():
+                idx = np.flatnonzero(m == mv)
+                n0 = self._size(lead, j + 1, mv)
+                idx = idx[r[idx] >= n0]
+                if idx.size == 0:
+                    continue
+                s, m2 = self._step(lead, j, mv)
+                n1 = self._size(lead, j + 1, m2)
+                rest = r[idx] - n0
+                which = rest // n1
+                tails[idx, j] = which + 1 if s == self.G else \
+                    self._allowed_values(s)[which]
+                r[idx] = rest % n1
+                m_next[idx] = m2
+            m = m_next
+        raw = tails @ (Q ** np.arange(ntails - 1, -1, -1, dtype=np.int64))
+        return tails, raw, m
+
+    def chunks(self, first, cap):
+        """(lead, start, count) blocks covering every canonical
+        representative in raw order; sizes start at `first` and double up
+        to `cap`, so an early witness costs little."""
+        size = min(first, cap)
+        for lead, total in enumerate(self.counts):
+            start = 0
+            while start < total:
+                count = min(size, total - start)
+                yield lead, start, count
+                start += count
+                size = min(2 * size, cap)
+
+    def lead_offset(self, lead):
+        """Raw projective index of the first representative of `lead`."""
+        Q = self.tower.order
+        return sum(Q ** (self.k - 1 - i) for i in range(lead))
 
 
-def projective_coords(tower, k, lead, start, count):
-    """Coordinate rows (count, k*d) for one block of representatives."""
-    Q, p, d = tower.order, tower.p, tower.degree
-    out = np.zeros((count, k * d), dtype=np.int64)
-    # leading 1
+def projective_coords(tower, lead, tails):
+    """Coordinate rows (count, k*d) of representatives with lead coefficient
+    1 at `lead` and tail coefficients of canonical indices `tails`, shape
+    (count, k-1-lead)."""
+    d = tower.degree
+    k = lead + 1 + tails.shape[1]
+    out = np.zeros((tails.shape[0], k * d), dtype=np.int64)
     out[:, lead * d] = 1
-    idx = np.arange(start, start + count, dtype=np.int64)
-    ntails = k - 1 - lead
-    for w in range(ntails):
+    for w in range(tails.shape[1]):
         pos = lead + 1 + w
-        sub = (idx // Q ** (ntails - 1 - w)) % Q
-        out[:, pos * d:(pos + 1) * d] = element_coord_columns(sub, p, d)
+        out[:, pos * d:(pos + 1) * d] = element_coord_columns(tails[:, w], tower.p, d)
     return out
 
 

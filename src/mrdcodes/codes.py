@@ -90,15 +90,18 @@ class SupportCode:
         return self.to_general().idealiser(side)
 
     def min_distance(self, budget: int = SUPPORT_SCAN_CAP) -> int:
-        """Minimum rank over the (q^{kn}-1)/(q^n-1) projective representatives."""
+        """Minimum rank over the (q^{kn}-1)/(q^n-1) projective representatives,
+        taken over one canonical representative per rank-preserving orbit."""
         t, k = self.tower, self.k
         total = _batch.projective_index_total(t, k)
         if total > budget:
             raise CapExceeded(f"{total} representatives exceed the scan budget")
         sb = _batch.SupportBlockMatrix(t, self.q_support())
+        sweep = _batch.OrbitSweep(t, self.q_support())
         best = t.n
-        for lead, start, count in _batch.projective_blocks(t, k, 1 << 16):
-            coords = _batch.projective_coords(t, k, lead, start, count)
+        for lead, start, count in sweep.chunks(1 << 16, 1 << 16):
+            tails, _, _ = sweep.representatives(lead, start, count)
+            coords = _batch.projective_coords(t, lead, tails)
             ranks = _batch.batch_rank(sb.matrices(coords), t.p)
             best = min(best, int(ranks.min()) // t.e)
         return best

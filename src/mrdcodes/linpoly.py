@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _linalg
+from . import _batch, _linalg
 from .fields import CapExceeded, FieldTower
 
 
@@ -201,7 +201,7 @@ class LinPoly:
                 lx = log[elems]
                 val = np.where(elems == 0, 0,
                                exp[(lx * pow(t.q, i, Qm1) + int(log[c])) % Qm1])
-                acc = _vec_add(t, acc, val)
+                acc = _batch.vec_add(t, acc, val)
             return set(int(v) for v in elems[acc == 0])
         return {x for x in t.enumerate_field() if self.eval(x) == 0}
 
@@ -222,18 +222,3 @@ class LinPoly:
             return cls(tower, c)
         return cls(tower, (tower.element_from_json(v) for v in obj))
 
-
-def _vec_add(tower, a, b):
-    """Elementwise field addition on packed-int numpy arrays."""
-    if tower.p == 2:
-        return a ^ b
-    p, d = tower.p, tower.degree
-    out = np.zeros_like(a)
-    mult = 1
-    aa, bb = a.copy(), b.copy()
-    for _ in range(d):
-        out += (aa + bb) % p * mult
-        aa //= p
-        bb //= p
-        mult *= p
-    return out

@@ -78,7 +78,8 @@ def mrd_by_moore(code, budget: int = 1 << 24):
     the code is MRD iff no such A makes det M_{T,A} vanish.  A is enumerated
     up to F_q-scaling of each element (projective representatives) and up to
     ordering; on failure the violating A and the codeword vanishing on its
-    span are reported.
+    span are reported.  `budget` caps the k-subsets examined, dependent ones
+    included (UNKNOWN past it); `scanned` counts the independent ones.
 
     Returns a Certificate (see mrdcodes.verify).
     """
@@ -103,16 +104,16 @@ def mrd_by_moore(code, budget: int = 1 << 24):
     qc = {x: list(t.q_coords(x)) for x in reps}
 
     checked = 0
-    for A in itertools.combinations(reps, k):
+    for examined, A in enumerate(itertools.combinations(reps, k)):
+        if examined == budget:
+            return Certificate(code_desc=code.descriptor(), verdict="UNKNOWN",
+                               method="moore", witness=None, scanned=checked,
+                               tower=t.descriptor(),
+                               elapsed_ms=_ms(started))
         rows = [qc[a] for a in A]
         if len(_linalg.row_reduce(t, rows, t.n)[1]) != k:
             continue
         checked += 1
-        if checked > budget:
-            return Certificate(code_desc=code.descriptor(), verdict="UNKNOWN",
-                               method="moore", witness=None, scanned=checked - 1,
-                               tower=t.descriptor(),
-                               elapsed_ms=_ms(started))
         d = moore_det(t, A, T, 1)
         if d == 0:
             f = _codeword_killing(t, A, T)

@@ -3,8 +3,11 @@
 A support code C_T is MRD exactly when every nonzero codeword has kernel
 dimension at most k-1 over F_q.  The engines here decide that by:
 
-  * exhaustive_scan  -- sweep all (q^{kn}-1)/(q^n-1) projective codeword
-    representatives, batched;
+  * exhaustive_scan  -- decide all (q^{kn}-1)/(q^n-1) projective codeword
+    representatives by ranking one canonical representative per orbit of
+    f -> b*f(a*x), which keeps rank (about (q^{kn}-1)/(q^n-1)^2 ranks);
+    `scanned` and the budget still count the whole projective space, since
+    each canonical representative carries its exact orbit size;
   * trinomial_criterion -- the support {0,1,3} reduces to: for every t in
     F_{q^n}, the kernel of Z^{q^2} + Z^q + tZ meets the trace-zero hyperplane
     in dimension at most 1.  Each nonzero Z is a root of the one trinomial
@@ -40,6 +43,7 @@ from .codes import SupportCode
 
 DEFAULT_BUDGET = 1 << 28
 BATCH = 1 << 16
+FIRST_CHUNK = 1 << 10
 
 VERDICT_MRD = "MRD"
 VERDICT_NOT_MRD = "NOT_MRD"
@@ -157,21 +161,46 @@ def _support_block(p, e, n, exps):
     return _batch.SupportBlockMatrix(make_tower(p, e, n), exps)
 
 
+@functools.lru_cache(maxsize=64)
+def _orbit_sweep(p, e, n, exps):
+    return _batch.OrbitSweep(make_tower(p, e, n), exps)
+
+
 def _scan_chunk(args):
-    p, e, n, exps, k, threshold, lead, start, count = args
+    """(first bad position in the block or -1, orbit sizes summed)."""
+    p, e, n, exps, threshold, lead, start, count = args
     t = make_tower(p, e, n)
-    sb = _support_block(p, e, n, exps)
-    coords = _batch.projective_coords(t, k, lead, start, count)
-    ranks = _batch.batch_rank(sb.matrices(coords), t.p)
-    bad = np.nonzero(ranks < threshold)[0]
-    return (-1 if bad.size == 0 else int(bad[0]))
+    tails, _, orbit = _orbit_sweep(p, e, n, exps).representatives(lead, start, count)
+    coords = _batch.projective_coords(t, lead, tails)
+    ranks = _batch.batch_rank(_support_block(p, e, n, exps).matrices(coords), t.p)
+    bad = np.flatnonzero(ranks < threshold)
+    return (-1 if bad.size == 0 else int(bad[0])), int(orbit.sum())
+
+
+def _first_bad(chunks, results):
+    """((chunk, position) of the first bad representative or None, orbit
+    sizes summed over the blocks before it)."""
+    covered = 0
+    for ch, (bad, orbits) in zip(chunks, results):
+        if bad >= 0:
+            return (ch, bad), covered
+        covered += orbits
+    return None, covered
 
 
 def exhaustive_scan(code: SupportCode, budget: int = DEFAULT_BUDGET,
                     workers: int = 1) -> Certificate:
-    """Sweep every projective codeword representative (first nonzero
-    coefficient normalized to 1, remaining coefficients odometer-ordered);
-    NOT_MRD at the first kernel dimension >= k, MRD if the sweep completes."""
+    """Decide MRD over every projective codeword representative (first
+    nonzero coefficient 1, the others in odometer order, last position
+    fastest), ranking one canonical representative per orbit of
+    f -> b*f(a*x) (see `_batch.OrbitSweep`).  Canonical representatives are
+    ranked in raw order, so the first one with kernel dimension >= k is the
+    raw sweep's first witness and `scanned` is its raw position plus one.
+    For MRD, `scanned` is the sum of the orbit sizes, which must equal the
+    (Q^k-1)/(Q-1) representatives; `budget` caps that raw count.  Blocks
+    start at FIRST_CHUNK representatives and double up to BATCH; with
+    `workers` > 1 a pool ranks the BATCH-sized blocks, the smaller ones
+    before them run in-process."""
     t0 = time.perf_counter()
     t = code.tower
     k = code.k
@@ -181,42 +210,39 @@ def exhaustive_scan(code: SupportCode, budget: int = DEFAULT_BUDGET,
         return Certificate(code.descriptor(), VERDICT_UNKNOWN, "scan", None, 0,
                            t.descriptor(), _ms(t0))
     threshold = t.degree - t.e * (k - 1)  # rank below this means kernel >= k
-    chunks = [(t.p, t.e, t.n, exps, k, threshold, lead, start, count)
-              for lead, start, count in _batch.projective_blocks(t, k, BATCH)]
-    scanned = 0
-    hit = None
+    sweep = _orbit_sweep(t.p, t.e, t.n, exps)
+    _support_block(t.p, t.e, t.n, exps)  # build before any fork
+    chunks = [(t.p, t.e, t.n, exps, threshold, lead, start, count)
+              for lead, start, count in sweep.chunks(FIRST_CHUNK, BATCH)]
+    # the pool starts only once the blocks reach BATCH: a short sweep, or
+    # one with an early witness, never forks
+    split = next((i for i, ch in enumerate(chunks) if ch[-1] == BATCH), len(chunks))
     if workers <= 1:
-        for ch in chunks:
-            bad = _scan_chunk(ch)
-            if bad >= 0:
-                hit = (ch, bad)
-                break
-            scanned += ch[8]
-    else:
+        split = len(chunks)
+    hit, covered = _first_bad(chunks[:split], map(_scan_chunk, chunks[:split]))
+    if hit is None and split < len(chunks):
         import multiprocessing as mp
-        _support_block(t.p, t.e, t.n, exps)  # build before fork
-        ctx = mp.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            for ch, bad in zip(chunks, pool.imap(_scan_chunk, chunks)):
-                if bad >= 0:
-                    hit = (ch, bad)
-                    break
-                scanned += ch[8]
-            pool.terminate()
+        with mp.get_context("fork").Pool(workers) as pool:
+            hit, rest = _first_bad(chunks[split:],
+                                   pool.imap(_scan_chunk, chunks[split:]))
+        covered += rest
     if hit is None:
-        return Certificate(code.descriptor(), VERDICT_MRD, "scan", None, total,
+        if covered != total:
+            raise RuntimeError(f"orbit sizes sum to {covered}, not {total}")
+        return Certificate(code.descriptor(), VERDICT_MRD, "scan", None, covered,
                            t.descriptor(), _ms(t0))
     ch, bad = hit
-    lead, start = ch[6], ch[7]
-    coeffs = _batch.rep_to_coefficients(t, k, lead, start + bad)
+    lead = ch[5]
+    _, raw, _ = sweep.representatives(lead, ch[6] + bad, 1)
+    coeffs = _batch.rep_to_coefficients(t, k, lead, int(raw[0]))
     f = LinPoly.from_support(t, exps, coeffs)
     kd = f.kernel_dim()
     if kd < k:
         raise RuntimeError("scan witness failed Dickson re-validation")
-    scanned += bad + 1
     witness = {"codeword": f.to_json(), "kernel_dim": kd}
     return Certificate(code.descriptor(), VERDICT_NOT_MRD, "scan", witness,
-                       scanned, t.descriptor(), _ms(t0))
+                       sweep.lead_offset(lead) + int(raw[0]) + 1,
+                       t.descriptor(), _ms(t0))
 
 
 # ----------------------------------------------------------------------------

@@ -116,3 +116,13 @@ def test_budget_unknown():
     t = make_tower(2, 1, 7)
     cert = mrd_by_moore(named_family("C7", t).delsarte_dual(), budget=3)
     assert cert.verdict == "UNKNOWN"
+
+
+def test_budget_counts_dependent_sets():
+    # PG(3,2) has 455 triples of points, 420 of them independent: a budget
+    # of 420 lets every independent triple through but not the 35 lines
+    t = make_tower(2, 1, 4)
+    code = gabidulin(t, 3, 1)
+    assert mrd_by_moore(code, budget=455).scanned == 420
+    cert = mrd_by_moore(code, budget=420)
+    assert cert.verdict == "UNKNOWN" and cert.scanned < 420

@@ -6,7 +6,7 @@ import pytest
 
 import numpy as np
 
-from mrdcodes import _batch, curves, moore, verify
+from mrdcodes import _batch, curves, fields, moore, verify
 from mrdcodes.codes import SupportCode, gabidulin, named_family
 from mrdcodes.fields import make_tower
 from mrdcodes.linpoly import LinPoly
@@ -46,6 +46,78 @@ def rank_sweep_criterion(tw):
                                       tw.descriptor(), 0.0)
     return verify.Certificate(code.descriptor(), "MRD", "trinomial", None, Q,
                               tw.descriptor(), 0.0)
+
+
+def raw_scan(code, budget=verify.DEFAULT_BUDGET):
+    """Reference for exhaustive_scan: rank every projective representative
+    in raw order (lead coefficient 1, earlier ones 0, the tail odometer-counted
+    in canonical element order, last position fastest) and stop at the first
+    kernel dimension >= k."""
+    t, k, exps = code.tower, code.k, code.q_support()
+    total = _batch.projective_index_total(t, k)
+    if total > budget:
+        return verify.Certificate(code.descriptor(), "UNKNOWN", "scan", None, 0,
+                                  t.descriptor(), 0.0)
+    Q = t.order
+    sb = _batch.SupportBlockMatrix(t, exps)
+    threshold = t.degree - t.e * (k - 1)
+    offset = 0
+    for lead in range(k):
+        ntails = k - 1 - lead
+        for start in range(0, Q ** ntails, verify.BATCH):
+            idx = np.arange(start, min(start + verify.BATCH, Q ** ntails))
+            tails = np.zeros((idx.size, ntails), dtype=np.int64)
+            for w in range(ntails):
+                tails[:, w] = idx // Q ** (ntails - 1 - w) % Q
+            coords = _batch.projective_coords(t, lead, tails)
+            ranks = _batch.batch_rank(sb.matrices(coords), t.p)
+            bad = np.flatnonzero(ranks < threshold)
+            if bad.size:
+                raw = start + int(bad[0])
+                f = LinPoly.from_support(
+                    t, exps, _batch.rep_to_coefficients(t, k, lead, raw))
+                witness = {"codeword": f.to_json(), "kernel_dim": f.kernel_dim()}
+                return verify.Certificate(code.descriptor(), "NOT_MRD", "scan",
+                                          witness, offset + raw + 1,
+                                          t.descriptor(), 0.0)
+        offset += Q ** ntails
+    return verify.Certificate(code.descriptor(), "MRD", "scan", None, total,
+                              t.descriptor(), 0.0)
+
+
+def brute_orbits(t, exps):
+    """{(lead, raw tail index): (smallest raw tail index in its orbit, orbit
+    size)} by applying f -> b*f(a*x), b = a^{-q^u_lead}, for every a in
+    F_{q^n}* to every projective representative."""
+    Q, k = t.order, len(exps)
+    units = [x for x in t.enumerate_field() if x]
+    out = {}
+    for lead in range(k):
+        ntails = k - 1 - lead
+        factors = [[t.mul(t.pow(a, t.q ** u), t.inv(t.pow(a, t.q ** exps[lead])))
+                    for u in exps[lead + 1:]] for a in units]
+        for raw in range(Q ** ntails):
+            coeffs = _batch.rep_to_coefficients(t, k, lead, raw)[lead + 1:]
+            orbit = set()
+            for fa in factors:
+                img = 0
+                for c, f in zip(coeffs, fa):
+                    img = img * Q + t.canonical_index(t.mul(c, f))
+                orbit.add(img)
+            out[(lead, raw)] = (min(orbit), len(orbit))
+    return out
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Towers built inside the test have no Zech tables."""
+    caches = (fields.make_tower, verify._orbit_sweep, verify._support_block)
+    monkeypatch.setattr(fields, "TABLE_CAP", 0)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
 
 
 def _untimed(cert):
@@ -101,6 +173,87 @@ def test_scan_deterministic_and_parallel_agreement():
     assert c.witness == a.witness and c.scanned == a.scanned
     m = verify.exhaustive_scan(gabidulin(t, 2, 1), workers=2)
     assert m.verdict == "MRD" and m.scanned == (2 ** 14 - 1) // (2 ** 7 - 1)
+
+
+@pytest.mark.parametrize("p,e,n,T,s", [
+    (2, 1, 4, (0, 1, 3), 1), (2, 1, 4, (0, 1, 2, 3), 1), (2, 1, 4, (0, 1, 2), 3),
+    (2, 1, 5, (0, 1, 3), 1), (3, 1, 3, (0, 1, 2), 1), (2, 2, 3, (0, 1, 2), 1),
+    (2, 1, 6, (0, 3), 1), (2, 1, 6, (0, 2), 1), (5, 1, 2, (0, 1), 1),
+    (3, 2, 2, (0, 1), 1)])
+def test_canonical_representatives_are_orbit_minima(p, e, n, T, s):
+    t = make_tower(p, e, n)
+    exps = SupportCode(t, T, s).q_support()
+    orbits = brute_orbits(t, exps)
+    sweep = _batch.OrbitSweep(t, exps)
+    got = {}
+    for lead, count in enumerate(sweep.counts):
+        _, raw, orbit = sweep.representatives(lead, 0, count)
+        got.update({(lead, int(r)): int(o) for r, o in zip(raw, orbit)})
+    want = {key: size for key, (least, size) in orbits.items() if least == key[1]}
+    assert got == want
+    # nontrivial orbits past the first lead, where k leaves a tail there
+    assert len(exps) < 3 or any(lead > 0 and size > 1
+                                for (lead, _), size in got.items())
+
+
+@pytest.mark.parametrize("q,n,T", [
+    (2, 3, (0, 1)), (2, 4, (0, 2)), (2, 6, (0, 2, 4)), (2, 6, (0, 1, 3, 4)),
+    (2, 7, (0, 1, 3)), (2, 8, (0, 1, 2, 4)), (2, 9, (0, 1, 2, 3)),
+    (2, 9, (0, 3, 6)), (3, 4, (0, 1, 2)), (3, 6, (0, 2, 4)), (3, 7, (0, 1, 3)),
+    (4, 4, (0, 1, 3)), (4, 6, (0, 3)), (5, 4, (0, 1, 2)), (7, 3, (0, 1, 2)),
+    (8, 4, (0, 2)), (9, 3, (0, 1)), (9, 4, (0, 1, 3))])
+def test_orbit_sizes_sum_to_projective_total(q, n, T):
+    t = make_tower(*PE[q], n)
+    sweep = _batch.OrbitSweep(t, T)
+    covered = 0
+    for lead, start, count in sweep.chunks(1 << 10, 1 << 14):
+        tails, raw, orbit = sweep.representatives(lead, start, count)
+        assert np.all(np.diff(raw) > 0) and np.all(tails < t.order)
+        covered += int(orbit.sum())
+    assert covered == _batch.projective_index_total(t, len(T))
+    assert sum(sweep.counts) < covered or t.order <= 4
+
+
+SCAN_ORACLE_CASES = [
+    (2, 1, 9, (0, 1, 3, 6), 1), (2, 1, 9, (0, 1, 3, 7), 1),
+    (2, 1, 9, (0, 1, 3, 4), 1), (2, 1, 9, (0, 1, 4, 6), 1),
+    (2, 1, 7, (0, 1, 3), 1), (2, 1, 7, (0, 1, 2), 1), (2, 1, 7, (0, 1, 2, 4), 3),
+    (3, 1, 6, (0, 2, 4), 1), (3, 1, 5, (0, 1, 2), 1), (2, 2, 5, (0, 1), 2),
+    (2, 2, 4, (0, 1, 3), 1), (2, 1, 6, (0, 1, 3), 5), (3, 1, 4, (0, 2), 1),
+    (5, 1, 3, (0, 1), 1), (2, 1, 5, (0, 1, 3, 4), 1)]
+
+
+@pytest.mark.parametrize("p,e,n,T,s", SCAN_ORACLE_CASES)
+def test_scan_matches_raw_oracle(p, e, n, T, s):
+    code = SupportCode(make_tower(p, e, n), T, s)
+    assert _untimed(verify.exhaustive_scan(code)) == _untimed(raw_scan(code))
+
+
+def test_scan_matches_raw_oracle_without_tables(no_tables):
+    for p, n, T in ((2, 7, (0, 1, 3)), (2, 5, (0, 1, 2)), (3, 4, (0, 1))):
+        code = SupportCode(make_tower(p, 1, n), T, 1)
+        assert code.tower.tables is None
+        cert = verify.exhaustive_scan(code)
+        assert _untimed(cert) == _untimed(raw_scan(code))
+        assert verify._orbit_sweep(p, 1, n, T).counts[0] == (p ** n) ** (len(T) - 1)
+
+
+def test_scan_budget_boundary():
+    code = gabidulin(make_tower(3, 1, 5), 3, 1)
+    total = (243 ** 3 - 1) // 242
+    assert verify.exhaustive_scan(code, budget=total - 1).verdict == "UNKNOWN"
+    assert verify.exhaustive_scan(code, budget=total).scanned == total
+
+
+def test_scan_pool_path(monkeypatch):
+    # small blocks send most of the sweep through the pool
+    monkeypatch.setattr(verify, "BATCH", 1 << 9)
+    t = make_tower(2, 1, 9)
+    for code in (gabidulin(make_tower(2, 1, 6), 4, 1), SupportCode(t, (0, 1, 3, 4))):
+        assert _untimed(verify.exhaustive_scan(code, workers=2)) == \
+            _untimed(verify.exhaustive_scan(code, workers=1))
+    assert verify.exhaustive_scan(SupportCode(t, (0, 1, 3, 4)), workers=2).scanned \
+        == 263686
 
 
 def test_scan_budget_unknown():
