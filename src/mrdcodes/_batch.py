@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from .fields import solve_modp
+
 
 def inverse_table(p: int) -> np.ndarray:
     inv = np.zeros(p, dtype=np.int64)
@@ -294,17 +296,8 @@ def fq_scalar_coords(tower, k, lead, start, count):
 
 def _one_scalar_coords(tower):
     """Coordinates of the F_q element 1 in the subfield F_p-basis."""
-    bas = tower.fq_basis_fp
-    # solve 1 = sum c_j u_j over F_p by elimination on the small basis
-    import itertools
-    p, e = tower.p, tower.e
-    for combo in itertools.product(range(p), repeat=e):
-        acc = 0
-        for c, u in zip(combo, bas):
-            acc = tower.add(acc, tower.mul(tower.embed_fp(c), u))
-        if acc == 1:
-            return np.array(combo, dtype=np.int64)
-    raise RuntimeError("1 not in subfield basis span (internal fault)")
+    B = np.array([tower.coords(u) for u in tower.fq_basis_fp]).T
+    return solve_modp(B, tower.coords(1), tower.p)
 
 
 # ---- vector field ops on packed-int arrays (Zech tables required) ------------

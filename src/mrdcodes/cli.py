@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import curves, moore, verify
-from .codes import SupportCode, named_family
+from .codes import SupportCode, adjoint_support, dual_support, named_family
 from .fields import make_tower
 from .linpoly import LinPoly
 
@@ -102,18 +102,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    n = args.n
-    T = sorted(int(x) % n for x in args.T.split(","))
-    comp = sorted(set(range(n)) - set(T))
-    _emit(args, {"kind": "support", "T": comp, "s": 1})
+    T = dual_support([int(x) for x in args.T.split(",")], args.n)
+    _emit(args, {"kind": "support", "T": list(T), "s": 1})
     return 0
 
 
 def cmd_adjoint(args) -> int:
-    n = args.n
-    T = sorted(int(x) % n for x in args.T.split(","))
-    refl = sorted({(n - t) % n for t in T})
-    _emit(args, {"kind": "support", "T": refl, "s": 1})
+    T = adjoint_support([int(x) for x in args.T.split(",")], args.n)
+    _emit(args, {"kind": "support", "T": list(T), "s": 1})
     return 0
 
 

@@ -23,6 +23,29 @@ SUPPORT_SCAN_CAP = 1 << 28     # representative cap for support-code sweeps
 FIELDNESS_CAP = 1 << 22        # enumeration cap for idealiser field checks
 
 
+def support_exponents(T, n: int) -> tuple:
+    """T reduced mod n and sorted.  ValueError unless n >= 1 and T holds
+    between 1 and n exponents, distinct mod n."""
+    if n < 1:
+        raise ValueError(f"n={n} must be positive")
+    T = tuple(sorted(int(t) % n for t in T))
+    if len(set(T)) != len(T):
+        raise ValueError("support exponents must be distinct mod n")
+    if not 1 <= len(T) <= n:
+        raise ValueError("support size must be between 1 and n")
+    return T
+
+
+def dual_support(T, n: int) -> tuple:
+    """Support of the Delsarte dual of C_T: the complement of T mod n."""
+    return support_exponents(set(range(n)) - set(support_exponents(T, n)), n)
+
+
+def adjoint_support(T, n: int) -> tuple:
+    """Support of the adjoint of C_T: T reflected, {(n - t) mod n}."""
+    return tuple(sorted({(n - t) % n for t in support_exponents(T, n)}))
+
+
 @dataclass(frozen=True)
 class IdealiserReport:
     side: str
@@ -39,11 +62,7 @@ class SupportCode:
     """The span over F_{q^n} of {X^(sigma^t) : t in T}, sigma = q^s."""
 
     def __init__(self, tower: FieldTower, T, s: int = 1):
-        T = tuple(sorted(int(t) % tower.n for t in T))
-        if len(set(T)) != len(T):
-            raise ValueError("support exponents must be distinct mod n")
-        if not 1 <= len(T) <= tower.n:
-            raise ValueError("support size must be between 1 and n")
+        T = support_exponents(T, tower.n)
         if math.gcd(s, tower.n) != 1:
             raise ValueError(f"twist s={s} must be coprime to n={tower.n}")
         self.tower = tower
@@ -76,15 +95,11 @@ class SupportCode:
 
     def delsarte_dual(self) -> "SupportCode":
         """Complement support: the dual of C_T is C_{{0..n-1} minus T}."""
-        n = self.tower.n
-        comp = tuple(sorted(set(range(n)) - set(self.q_support())))
-        return SupportCode(self.tower, comp, 1)
+        return SupportCode(self.tower, dual_support(self.q_support(), self.tower.n), 1)
 
     def adjoint_code(self) -> "SupportCode":
         """Reflected support {0} u {n - u : u in T, u != 0}."""
-        n = self.tower.n
-        refl = tuple(sorted({(n - u) % n for u in self.q_support()}))
-        return SupportCode(self.tower, refl, 1)
+        return SupportCode(self.tower, adjoint_support(self.q_support(), self.tower.n), 1)
 
     def idealiser(self, side: str) -> IdealiserReport:
         return self.to_general().idealiser(side)

@@ -62,19 +62,13 @@ class QuadraticLift:
         self.base = tower
         self.big = make_tower(tower.p, tower.e, 2 * tower.n)
         self.root = self._modulus_root()
-        self.gammas = self._quadratic_gammas()
+        self.gammas = quadratic_gammas(self.big)
 
     def _modulus_root(self) -> int:
         tb, tB = self.base, self.big
-        d = tb.degree
-        # elements of the index-2 subfield of the big tower
-        from .fields import _nullspace_modp
-        A = (tB.frob_p_matrix(d) - np.eye(tB.degree, dtype=np.int64)) % tB.p
-        cands = [tB.element([int(v) for v in vec])
-                 for vec in _iter_span(tB, _nullspace_modp(A, tB.p))]
-        cands.sort(key=tB.canonical_index)
         mod = tb.modulus
-        for x in cands:
+        # candidates: the index-2 subfield of the big tower
+        for x in tB.fixed_field(tb.degree):
             acc = 0
             xp = 1
             for c in mod:
@@ -84,15 +78,6 @@ class QuadraticLift:
             if acc == 0:
                 return x
         raise RuntimeError("modulus has no root in the doubled tower")
-
-    def _quadratic_gammas(self) -> list[int]:
-        tB = self.big
-        from .fields import _nullspace_modp
-        A = (tB.frob_p_matrix(2 * tB.e) - np.eye(tB.degree, dtype=np.int64)) % tB.p
-        quad = [tB.element([int(v) for v in vec])
-                for vec in _iter_span(tB, _nullspace_modp(A, tB.p))]
-        quad.sort(key=tB.canonical_index)
-        return [g for g in quad if not tB.in_subfield_q(g)]
 
     def lift(self, x: int) -> int:
         tb, tB = self.base, self.big
@@ -112,6 +97,12 @@ class QuadraticLift:
             if self.lift(x) == X:
                 return x
         raise ValueError("element is not in the embedded base field")
+
+
+def quadratic_gammas(tower) -> list[int]:
+    """F_{q^2} minus F_q inside a tower of even n, canonical order."""
+    sub = set(tower.subfield_elements)
+    return [g for g in tower.fixed_field(2 * tower.e) if g not in sub]
 
 
 def v_product(lift: QuadraticLift, x: int, y: int) -> int:
@@ -151,15 +142,28 @@ def v_closed(tower, x: int, y: int) -> int:
 # vectorized counting
 # ----------------------------------------------------------------------------
 
-def _element_tables(tower):
-    """Per-element packed-value arrays: x^q, x^{q^2}, x^{q^3}, u = x^q - x."""
-    t = tower
-    ids = np.arange(t.order, dtype=np.int64)
-    F1 = _batch.vec_frob_q(t, ids, 1)
-    F2 = _batch.vec_frob_q(t, ids, 2)
-    F3 = _batch.vec_frob_q(t, ids, 3)
-    U = _batch.vec_sub(t, F1, ids)
-    return ids, F1, F2, F3, U
+class _CurveRows:
+    """The rows (x^q - x^{q^j}) v + (y^{q^j} - y^q) u over all y, for
+    j in {2, 3}: W(1, x, .) for j = 2 and H(1, x, .) for j = 3.  `cols`
+    gives the packed y of each column (packed order 0..Q-1 by default)."""
+
+    def __init__(self, tower, cols=None):
+        t = self.tower = tower
+        ids = np.arange(t.order, dtype=np.int64)
+        F1 = _batch.vec_frob_q(t, ids, 1)
+        self.U = _batch.vec_sub(t, F1, ids)                    # u = x^q - x
+        self.A = {j: _batch.vec_sub(t, F1, _batch.vec_frob_q(t, ids, j))
+                  for j in (2, 3)}                             # x^q - x^{q^j}
+        cols = ids if cols is None else cols
+        self.U_cols = self.U[cols]
+        self.C_cols = {j: _batch.vec_neg(t, a[cols])           # y^{q^j} - y^q
+                       for j, a in self.A.items()}
+
+    def row(self, x: int, j: int) -> np.ndarray:
+        """The row of the packed value x."""
+        t, a, u = self.tower, np.int64(int(self.A[j][x])), np.int64(int(self.U[x]))
+        return _batch.vec_add(t, _batch.vec_mul(t, a, self.U_cols),
+                              _batch.vec_mul(t, self.C_cols[j], u))
 
 
 def _v_closed_row(tower, u0: int, U: np.ndarray) -> np.ndarray:
@@ -196,17 +200,13 @@ def count_V_cap_W(tower) -> int:
     t = tower
     if t.order ** 2 > PAIR_BUDGET:
         raise CapExceeded("pair enumeration exceeds the budget")
-    ids, F1, F2, F3, U = _element_tables(t)
-    A = _batch.vec_sub(t, F1, F2)      # x^q - x^{q^2}
-    C = _batch.vec_sub(t, F2, F1)      # y^{q^2} - y^q
+    rows = _CurveRows(t)
     count = 0
     for x in range(t.order):
-        w_row = _batch.vec_add(t, _batch.vec_mul(t, np.int64(int(A[x])), U),
-                               _batch.vec_mul(t, C, np.int64(int(U[x]))))
-        wz = w_row == 0
+        wz = rows.row(x, 2) == 0
         if not wz.any():
             continue
-        v_row = _v_closed_row(t, int(U[x]), U)
+        v_row = _v_closed_row(t, int(rows.U[x]), rows.U)
         count += int((wz & (v_row == 0)).sum())
     return count
 
@@ -218,7 +218,7 @@ def count_V_cap_W_closure(tower) -> int:
     the Artin-Schreier fiber of x^q - x = xi(y^q - y) has exactly q points."""
     t2 = make_tower(tower.p, tower.e, 2)
     els = list(t2.enumerate_field())
-    gammas = [g for g in els if not t2.in_subfield_q(g)]
+    gammas = quadratic_gammas(t2)
     count = 0
     for x in els:
         xq = t2.frobenius_q(x, 1)
@@ -242,7 +242,7 @@ def points_at_infinity(tower) -> int:
     """Roots in F_{q^2} of the degree-q^3-q product prod(X^q - gamma); these
     are exactly the gamma themselves, q^2 - q of them."""
     t2 = make_tower(tower.p, tower.e, 2)
-    gammas = [g for g in t2.enumerate_field() if not t2.in_subfield_q(g)]
+    gammas = quadratic_gammas(t2)
     count = 0
     for x in t2.enumerate_field():
         acc = 1
@@ -281,30 +281,19 @@ def mrd_via_curve(tower, budget: int = PAIR_BUDGET):
     first such point, in canonical (x, y) order, yields a witness codeword
     through the Moore nullspace on A = (1, x, y)."""
     from .moore import _codeword_killing
-    from .verify import Certificate, VERDICT_MRD, VERDICT_NOT_MRD
+    from .verify import Certificate, VERDICT_MRD, VERDICT_NOT_MRD, _ms
     t0 = time.perf_counter()
     t = tower
     if t.order ** 2 > budget:
         raise CapExceeded("pair enumeration exceeds the budget")
     code = SupportCode(t, (0, 1, 3), 1)
-    ids, F1, F2, F3, U = _element_tables(t)
-    A3 = _batch.vec_sub(t, F1, F3)
-    C3 = _batch.vec_sub(t, F3, F1)
-    A2 = _batch.vec_sub(t, F1, F2)
-    C2 = _batch.vec_sub(t, F2, F1)
     perm = t.elements_array()          # canonical position -> packed value
-    U_c = U[perm]
-    C3_c = C3[perm]
-    C2_c = C2[perm]
+    rows = _CurveRows(t, perm)
     scanned = 0
     hit = None
     for xpos in range(t.order):
         x = int(perm[xpos])
-        h_row = _batch.vec_add(t, _batch.vec_mul(t, np.int64(int(A3[x])), U_c),
-                               _batch.vec_mul(t, C3_c, np.int64(int(U[x]))))
-        w_row = _batch.vec_add(t, _batch.vec_mul(t, np.int64(int(A2[x])), U_c),
-                               _batch.vec_mul(t, C2_c, np.int64(int(U[x]))))
-        bad = np.nonzero((h_row == 0) & (w_row != 0))[0]
+        bad = np.nonzero((rows.row(x, 3) == 0) & (rows.row(x, 2) != 0))[0]
         if bad.size:
             ypos = int(bad[0])
             scanned += ypos + 1
@@ -313,8 +302,7 @@ def mrd_via_curve(tower, budget: int = PAIR_BUDGET):
         scanned += t.order
     if hit is None:
         return Certificate(code.descriptor(), VERDICT_MRD, "curve", None,
-                           scanned, t.descriptor(),
-                           (time.perf_counter() - t0) * 1000.0)
+                           scanned, t.descriptor(), _ms(t0))
     x, y = hit
     f = _codeword_killing(t, (1, x, y), (0, 1, 3))
     kd = f.kernel_dim()
@@ -323,8 +311,7 @@ def mrd_via_curve(tower, budget: int = PAIR_BUDGET):
     witness = {"point": [t.coords(x), t.coords(y)],
                "codeword": f.to_json(), "kernel_dim": kd}
     return Certificate(code.descriptor(), VERDICT_NOT_MRD, "curve", witness,
-                       scanned, t.descriptor(),
-                       (time.perf_counter() - t0) * 1000.0)
+                       scanned, t.descriptor(), _ms(t0))
 
 
 def curve_report(tower) -> CurveCount:
@@ -350,29 +337,13 @@ def _h_minus_w_points(tower):
     t = tower
     if t.order ** 2 > PAIR_BUDGET:
         raise CapExceeded("pair enumeration exceeds the budget")
-    ids, F1, F2, F3, U = _element_tables(t)
-    A3 = _batch.vec_sub(t, F1, F3)
-    C3 = _batch.vec_sub(t, F3, F1)
-    A2 = _batch.vec_sub(t, F1, F2)
-    C2 = _batch.vec_sub(t, F2, F1)
+    rows = _CurveRows(t)
     pts = []
     total = 0
     for x in range(t.order):
-        h_row = _batch.vec_add(t, _batch.vec_mul(t, np.int64(int(A3[x])), U),
-                               _batch.vec_mul(t, C3, np.int64(int(U[x]))))
-        w_row = _batch.vec_add(t, _batch.vec_mul(t, np.int64(int(A2[x])), U),
-                               _batch.vec_mul(t, C2, np.int64(int(U[x]))))
-        ys = np.nonzero((h_row == 0) & (w_row != 0))[0]
+        ys = np.nonzero((rows.row(x, 3) == 0) & (rows.row(x, 2) != 0))[0]
         total += int(ys.size)
         for y in ys[:max(0, POINT_SAMPLE_LIMIT - len(pts))]:
             pts.append((x, int(y)))
     return pts, total
 
-
-def _iter_span(tower, basis_vectors):
-    """All F_p-combinations of nullspace basis vectors (coordinate vectors)."""
-    p = tower.p
-    out = [np.zeros(tower.degree, dtype=np.int64)]
-    for vec in basis_vectors:
-        out = [(w + c * vec) % p for w in out for c in range(p)]
-    return out

@@ -22,6 +22,7 @@ lexicographic order with the constant term compared first.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -457,29 +458,29 @@ class FieldTower:
 
     # ---- subfield and q-coordinates ----------------------------------------
 
+    def fixed_field(self, k: int) -> tuple:
+        """The p^k elements with x^(p^k) = x (k dividing the degree),
+        canonical order."""
+        key = ("fixed", k)
+        if key not in self._lazy:
+            p, d = self.p, self.degree
+            if k < 1 or d % k:
+                raise ValueError(f"k={k} must divide the degree {d}")
+            # kernel of (phi_p^k - id) as an F_p-linear map
+            mat = self.frob_p_matrix(k) - np.eye(d, dtype=np.int64)
+            basis = nullspace_modp(mat, p)
+            if len(basis) != k:
+                raise RuntimeError("fixed field has wrong size (internal fault)")
+            combos = np.array(list(itertools.product(range(p), repeat=k)), dtype=np.int64)
+            span = (combos @ np.array(basis) % p).tolist()
+            self._lazy[key] = tuple(sorted(map(self.element, span),
+                                           key=self.canonical_index))
+        return self._lazy[key]
+
     @property
     def subfield_elements(self) -> tuple:
         """All q elements of the embedded F_q, canonical order."""
-        key = "subfield"
-        if key not in self._lazy:
-            p, d, e = self.p, self.degree, self.e
-            # kernel of (phi_p^e - id) as an F_p-linear map
-            fmat = self.frob_p_matrix(e)
-            mat = (fmat - np.eye(d, dtype=np.int64)) % p
-            basis = _nullspace_modp(mat, p)
-            elems = []
-            for m in range(p ** len(basis)):
-                v = np.zeros(d, dtype=np.int64)
-                mm = m
-                for b in basis:
-                    v = (v + (mm % p) * b) % p
-                    mm //= p
-                elems.append(self.element(v.tolist()))
-            if len(elems) != self.q:
-                raise RuntimeError("subfield has wrong size (internal fault)")
-            elems.sort(key=self.canonical_index)
-            self._lazy[key] = tuple(elems)
-        return self._lazy[key]
+        return self.fixed_field(self.e)
 
     def in_subfield_q(self, x: int) -> bool:
         return self.frobenius_q(x, 1) == x
@@ -513,20 +514,17 @@ class FieldTower:
         key = "qcoords"
         if key not in self._lazy:
             d, e, n, p = self.degree, self.e, self.n, self.p
-            sub = self.subfield_elements
-            # F_p-basis of F_q: echelon basis from the subfield construction
-            fq_basis = [x for x in sub if x != 0]
-            # reduce to an independent F_p-basis of size e
+            # F_p-basis of F_q: the first e nonzero subfield elements, in
+            # canonical order, that raise the F_p-rank
             bas: list[int] = []
-            rows: list[np.ndarray] = []
-            for x in fq_basis:
-                v = np.array(self.coords(x), dtype=np.int64)
-                r = _reduce_against(v, rows, p)
-                if r is not None:
-                    rows.append(r)
+            rows: list[list[int]] = []
+            for x in self.subfield_elements:
+                v = self.coords(x)
+                if len(rref_modp(np.array(rows + [v]), p)[1]) > len(rows):
+                    rows.append(v)
                     bas.append(x)
-                if len(bas) == e:
-                    break
+                    if len(bas) == e:
+                        break
             if len(bas) != e:
                 raise RuntimeError("subfield basis extraction failed")
             B = np.zeros((d, d), dtype=np.int64)
@@ -534,7 +532,7 @@ class FieldTower:
             for i in range(n):
                 for j in range(e):
                     B[:, i * e + j] = self.coords(self.mul(bas[j], qb[i]))
-            Binv = _invert_modp(B, p)
+            Binv = inverse_modp(B, p)
             self._lazy[key] = (tuple(bas), Binv)
         return self._lazy[key]
 
@@ -609,67 +607,68 @@ class FieldTower:
 
 
 # ----------------------------------------------------------------------------
-# small exact mod-p linear algebra used during construction
+# exact mod-p linear algebra: one Gauss-Jordan and its uses
 # ----------------------------------------------------------------------------
 
-def _reduce_against(v, rows, p):
-    v = v.copy() % p
-    for r in rows:
-        piv = int(np.argmax(r != 0))
-        if r[piv] and v[piv]:
-            v = (v - int(v[piv]) * int(pow(int(r[piv]), p - 2, p)) * r) % p
-    return v if v.any() else None
-
-
-def _nullspace_modp(mat, p):
-    """Echelon-form nullspace basis of mat over F_p (deterministic)."""
-    m = mat.copy() % p
+def rref_modp(mat, p):
+    """Reduced row echelon form of mat over F_p and its pivot columns.
+    Deterministic: each column's pivot is the first row at or below the
+    current one with a nonzero entry."""
+    m = np.array(mat, dtype=np.int64) % p
     rows, cols = m.shape
-    pivots = {}
-    r = 0
+    pivots = []
     for c in range(cols):
-        sel = None
-        for i in range(r, rows):
-            if m[i, c]:
-                sel = i
-                break
-        if sel is None:
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if nz.size == 0:
             continue
+        sel = r + int(nz[0])
         m[[r, sel]] = m[[sel, r]]
         m[r] = m[r] * pow(int(m[r, c]), p - 2, p) % p
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - int(m[i, c]) * m[r]) % p
-        pivots[c] = r
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
+        factors = m[:, c].copy()
+        factors[r] = 0
+        m = (m - np.outer(factors, m[r])) % p
+        pivots.append(c)
+    return m, pivots
+
+
+def nullspace_modp(mat, p):
+    """Echelon-form nullspace basis of mat over F_p, one vector per free
+    column (deterministic)."""
+    m, pivots = rref_modp(mat, p)
+    cols = m.shape[1]
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(cols)) - set(pivots)):
         v = np.zeros(cols, dtype=np.int64)
         v[fc] = 1
-        for c, pr in pivots.items():
-            v[c] = (-m[pr, fc]) % p
-        basis.append(v % p)
+        for r, c in enumerate(pivots):
+            v[c] = (-m[r, fc]) % p
+        basis.append(v)
     return basis
 
 
-def _invert_modp(mat, p):
-    d = mat.shape[0]
-    aug = np.concatenate([mat.copy() % p, np.eye(d, dtype=np.int64)], axis=1)
-    for c in range(d):
-        sel = None
-        for i in range(c, d):
-            if aug[i, c]:
-                sel = i
-                break
-        if sel is None:
-            raise RuntimeError("change-of-basis matrix is singular (internal fault)")
-        aug[[c, sel]] = aug[[sel, c]]
-        aug[c] = aug[c] * pow(int(aug[c, c]), p - 2, p) % p
-        for i in range(d):
-            if i != c and aug[i, c]:
-                aug[i] = (aug[i] - int(aug[i, c]) * aug[c]) % p
-    return aug[:, d:]
+def solve_modp(A, b, p):
+    """One solution of A x = b over F_p, or None when there is none."""
+    A = np.asarray(A, dtype=np.int64)
+    cols = A.shape[1]
+    m, pivots = rref_modp(np.concatenate([A, np.reshape(b, (-1, 1))], axis=1), p)
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.int64)
+    for r, c in enumerate(pivots):
+        x[c] = m[r, cols]
+    return x
+
+
+def inverse_modp(mat, p):
+    """Inverse of a square matrix over F_p; ValueError when it is singular."""
+    d = len(mat)
+    m, pivots = rref_modp(np.concatenate([mat, np.eye(d, dtype=np.int64)], axis=1), p)
+    if pivots[:d] != list(range(d)):
+        raise ValueError("matrix is singular mod p")
+    return m[:, d:]
 
 
 @functools.lru_cache(maxsize=None)

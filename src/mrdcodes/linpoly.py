@@ -12,7 +12,19 @@ from __future__ import annotations
 import numpy as np
 
 from . import _batch, _linalg
-from .fields import CapExceeded, FieldTower
+from .fields import CapExceeded, FieldTower, nullspace_modp
+
+
+def fq_independent(tower, elems) -> list[int]:
+    """The elements of `elems`, in order, that raise the F_q-rank of those
+    kept before them (elimination on their q-coordinates)."""
+    kept, rows = [], []
+    for x in elems:
+        v = list(tower.q_coords(x))
+        if _linalg.rank(tower, rows + [v], tower.n) > len(rows):
+            rows.append(v)
+            kept.append(x)
+    return kept
 
 
 class LinPoly:
@@ -165,24 +177,8 @@ class LinPoly:
     def kernel_fq_basis(self) -> list[int]:
         """An F_q-basis of the kernel, as field elements (deterministic)."""
         t = self.tower
-        from .fields import _nullspace_modp
-        vecs = _nullspace_modp(self.map_matrix_fp(), t.p)
-        elems = [t.element([int(v) for v in vec]) for vec in vecs]
-        # thin the F_p-basis down to an F_q-basis via q-coordinate elimination
-        basis = []
-        rows = []
-        for x in elems:
-            v = list(t.q_coords(x))
-            for r, pc in rows:
-                if v[pc] != 0:
-                    f = v[pc]
-                    v = [t.sub(a, t.mul(f, b)) for a, b in zip(v, r)]
-            piv = next((i for i, a in enumerate(v) if a != 0), None)
-            if piv is not None:
-                inv = t.inv(v[piv])
-                rows.append(([t.mul(inv, a) for a in v], piv))
-                basis.append(x)
-        return basis
+        vecs = nullspace_modp(self.map_matrix_fp(), t.p)
+        return fq_independent(t, [t.element([int(v) for v in vec]) for vec in vecs])
 
     def roots(self) -> set[int]:
         """Brute-force root set {x : f(x) = 0}; oracle only, enumerates the field."""

@@ -83,7 +83,7 @@ def mrd_by_moore(code, budget: int = 1 << 24):
 
     Returns a Certificate (see mrdcodes.verify).
     """
-    from .verify import Certificate  # local import to avoid a cycle
+    from .verify import Certificate, _ms  # local import to avoid a cycle
 
     t = code.tower
     k = code.k
@@ -138,7 +138,3 @@ def _codeword_killing(tower, A, T) -> LinPoly:
     if not null:
         raise RuntimeError("Moore matrix unexpectedly nonsingular")
     return LinPoly.from_support(tower, T, null[0])
-
-
-def _ms(started: float) -> float:
-    return (time.perf_counter() - started) * 1000.0

@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _batch
-from .fields import CapExceeded, TABLE_CAP, _nullspace_modp, make_tower
-from .linpoly import LinPoly
-from .codes import SupportCode
+from .fields import CapExceeded, TABLE_CAP, make_tower, nullspace_modp, solve_modp
+from .linpoly import LinPoly, fq_independent
+from .codes import SupportCode, adjoint_support, dual_support
 
 DEFAULT_BUDGET = 1 << 28
 BATCH = 1 << 16
@@ -249,43 +249,11 @@ def exhaustive_scan(code: SupportCode, budget: int = DEFAULT_BUDGET,
 # the {0,1,3} trinomial criterion
 # ----------------------------------------------------------------------------
 
-def _solve_modp(A, b, p):
-    """One solution of A x = b over F_p, or None."""
-    A = np.asarray(A, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
-    rows, cols = A.shape
-    aug = np.concatenate([A, b[:, None]], axis=1)
-    piv = []
-    r = 0
-    for c in range(cols):
-        sel = None
-        for i in range(r, rows):
-            if aug[i, c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[[r, sel]] = aug[[sel, r]]
-        aug[r] = aug[r] * pow(int(aug[r, c]), p - 2, p) % p
-        for i in range(rows):
-            if i != r and aug[i, c]:
-                aug[i] = (aug[i] - int(aug[i, c]) * aug[r]) % p
-        piv.append(c)
-        r += 1
-    for i in range(r, rows):
-        if aug[i, -1]:
-            return None
-    x = np.zeros(cols, dtype=np.int64)
-    for i, c in enumerate(piv):
-        x[c] = aug[i, -1]
-    return x
-
-
 def artin_schreier_preimage(tower, z: int) -> int:
     """Some x with x^q - x = z (exists iff the relative trace of z vanishes)."""
     d, p = tower.degree, tower.p
     A = (tower.frob_q_matrix(1) - np.eye(d, dtype=np.int64)) % p
-    x = _solve_modp(A, np.array(tower.coords(z)), p)
+    x = solve_modp(A, tower.coords(z), p)
     if x is None:
         raise ValueError("element has nonzero relative trace")
     return tower.element([int(v) for v in x])
@@ -313,7 +281,7 @@ def trinomial_criterion(tower, workers: int = 1) -> Certificate:
     code = SupportCode(tw, (0, 1, 3), 1)
     d, p, q, Q = tw.degree, tw.p, tw.q, tw.order
     base = (tw.frob_q_matrix(2) + tw.frob_q_matrix(1)) % p  # Z -> Z^{q^2} + Z^q
-    hyper = np.array(_nullspace_modp(_trace_rows(tw), p))    # trace-zero F_p-basis
+    hyper = np.array(nullspace_modp(_trace_rows(tw), p))    # trace-zero F_p-basis
     packing = p ** np.arange(d, dtype=np.int64)
     log_minus_one = 0 if p == 2 else (Q - 1) // 2
     total = p ** len(hyper)
@@ -357,7 +325,7 @@ def _trace_rows(tower) -> np.ndarray:
     out = np.zeros((e, d), dtype=np.int64)
     for j in range(d):
         tr = tower.rel_trace(tower.pow(tower.generator, j))
-        sol = _solve_modp(B, np.array(tower.coords(tr)), p)
+        sol = solve_modp(B, tower.coords(tr), p)
         out[:, j] = sol
     return out
 
@@ -369,32 +337,13 @@ def _trace_zero_kernel_pair(tower, t_elem):
     # the basis may mix trace-zero and other elements; rebuild inside the
     # intersection via the stacked F_p kernel when needed
     if len(cand) < 2:
-        d, e, p = tower.degree, tower.e, tower.p
         stacked = np.concatenate([f.map_matrix_fp(), _trace_rows(tower)], axis=0)
         elems = [tower.element([int(v) for v in vec])
-                 for vec in _nullspace_modp(stacked, p)]
-        cand = _fq_independent_subset(tower, elems)
+                 for vec in nullspace_modp(stacked, tower.p)]
+        cand = fq_independent(tower, elems)
     if len(cand) < 2:
         raise RuntimeError("expected a 2-dimensional trace-zero kernel")
     return cand[0], cand[1]
-
-
-def _fq_independent_subset(tower, elems):
-    out = []
-    rows = []
-    for x in elems:
-        if x == 0:
-            continue
-        v = list(tower.q_coords(x))
-        for r in rows:
-            piv = next(i for i, a in enumerate(r) if a != 0)
-            if v[piv] != 0:
-                fct = tower.mul(v[piv], tower.inv(r[piv]))
-                v = [tower.sub(a, tower.mul(fct, b)) for a, b in zip(v, r)]
-        if any(a != 0 for a in v):
-            rows.append(v)
-            out.append(x)
-    return out
 
 
 def _codeword_from_h_point(tower, z1, z2) -> LinPoly:
@@ -410,23 +359,6 @@ def _codeword_from_h_point(tower, z1, z2) -> LinPoly:
 # ----------------------------------------------------------------------------
 # the n = 9 witness construction
 # ----------------------------------------------------------------------------
-
-def cubic_subfield_elements(tower) -> list[int]:
-    """Elements of F_{q^3} inside F_{q^9}, canonical order."""
-    d, p = tower.degree, tower.p
-    A = (tower.frob_q_matrix(3) - np.eye(d, dtype=np.int64)) % p
-    basis = _nullspace_modp(A, p)
-    elems = []
-    for m in range(p ** len(basis)):
-        acc = np.zeros(d, dtype=np.int64)
-        mm = m
-        for vec in basis:
-            acc = (acc + (mm % p) * vec) % p
-            mm //= p
-        elems.append(tower.element([int(v) for v in acc]))
-    elems.sort(key=tower.canonical_index)
-    return elems
-
 
 def n9_witness(tower, s: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     """Refutation of the n = 9 support {0, s, 2s, 4s} (s in {1,4,7}): the
@@ -444,7 +376,7 @@ def n9_witness(tower, s: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     want_tr = tw.embed_fp(-2)
     want_nm = tw.embed_fp(-1)
     found = None
-    for c in cubic_subfield_elements(tw):
+    for c in tw.fixed_field(3 * tw.e):   # F_{q^3}, canonical order
         if c == 0:
             continue
         z = tw.inv(c)
@@ -545,14 +477,6 @@ class CandidateList:
         raise KeyError(f"no canonical entry for {T}")
 
 
-def _adjoint_support(T, n):
-    return tuple(sorted({(n - t) % n for t in T}))
-
-
-def _dual_support(T, n):
-    return tuple(sorted(set(range(n)) - set(T)))
-
-
 def _d_family_canonicals(n, k):
     if n != 9 or k != 4:
         return {}
@@ -584,9 +508,9 @@ def classify(tower, k: int, budget: int = DEFAULT_BUDGET,
     out = CandidateList(n=n, k=k, q=tower.q)
     for T in orbits:
         entry = CandidateEntry(T=T, gabidulin=is_gabidulin_support(T, n))
-        partners = [(_adjoint_support(T, n), "adjoint")]
+        partners = [(adjoint_support(T, n), "adjoint")]
         if 2 * k == n:
-            partners.append((_dual_support(T, n), "dual"))
+            partners.append((dual_support(T, n), "dual"))
         best = None
         for P, op in partners:
             Pc = shift_canonical(P, n)

@@ -88,6 +88,17 @@ def test_dual_adjoint_idealiser(capsys):
     assert rep["fq_dimension"] == 7 and rep["is_field"] and rep["is_max"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["dual", "--n", "7", "--T", "0,7"],               # not distinct mod n
+    ["dual", "--n", "7", "--T", "0,1,2,3,4,5,6"],     # the dual would be empty
+    ["adjoint", "--n", "0", "--T", "1"],              # n must be positive
+])
+def test_dual_adjoint_reject_invalid_supports(capsys, argv):
+    # the same checks as SupportCode, so errors exit 4 as they do for verify
+    rc, out = run(capsys, *argv)
+    assert rc == 4 and out == ""
+
+
 def test_moore_det_and_roots(capsys):
     rc, out = run(capsys, "moore-det", "--q", "2", "--n", "3",
                   "--T", "0,1", "--A", "[[0,1,0],[0,0,1]]")

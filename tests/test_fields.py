@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mrdcodes import _batch, _linalg
-from mrdcodes.fields import (CapExceeded, factorize, is_prime, make_tower,
+from mrdcodes.fields import (CapExceeded, factorize, inverse_modp, is_prime,
+                             make_tower, nullspace_modp, solve_modp,
                              tower_from_descriptor)
 
 rng = random.Random(0xF1E1D5)
@@ -201,3 +202,64 @@ def test_batch_rank_matches_elimination(p, r, c, rnd):
                     dtype=np.int64)
     want = [_linalg.rank(make_tower(p, 1, 1), m.tolist(), c) for m in mats]
     assert _batch.batch_rank(mats.copy(), p).tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 251)), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 5), st.booleans(), st.randoms(use_true_random=False))
+def test_modp_eliminator_against_definitions(p, r, c, inner, consistent, rnd):
+    # A = X @ Y has rank at most `inner`, so small inner dimensions give
+    # rank-deficient matrices; ranks come from the tower eliminator
+    def draw(rows, cols):
+        return np.array([rnd.randrange(p) for _ in range(rows * cols)],
+                        dtype=np.int64).reshape(rows, cols)
+
+    def rank(m):
+        return _linalg.rank(make_tower(p, 1, 1), m.tolist(), m.shape[1])
+
+    A = draw(r, inner) @ draw(inner, c) % p
+    rk = rank(A)
+    b = A @ draw(c, 1)[:, 0] % p if consistent else draw(r, 1)[:, 0]
+    x = solve_modp(A, b, p)
+    if x is None:
+        assert rank(np.concatenate([A, b[:, None]], axis=1)) > rk
+    else:
+        assert ((A @ x - b) % p == 0).all()
+    null = nullspace_modp(A, p)
+    assert len(null) == c - rk
+    for v in null:
+        assert not (A @ v % p).any()
+    if null:
+        assert rank(np.array(null)) == len(null)
+    B = draw(r, r)
+    if not consistent:
+        B[-1] = B[0] * rnd.randrange(p) % p   # singular unless r = 1
+    if rank(B) == r:
+        Binv = inverse_modp(B, p)
+        assert (B @ Binv % p == np.eye(r, dtype=np.int64)).all()
+        assert (Binv @ B % p == np.eye(r, dtype=np.int64)).all()
+    else:
+        with pytest.raises(ValueError):
+            inverse_modp(B, p)
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 6), (2, 2, 3), (2, 3, 2), (3, 2, 2), (5, 1, 4)])
+def test_fixed_field_matches_brute_force(pen):
+    t = make_tower(*pen)
+    for k in range(1, t.degree + 1):
+        if t.degree % k:
+            with pytest.raises(ValueError):
+                t.fixed_field(k)
+            continue
+        want = tuple(x for x in t.enumerate_field() if t.frobenius_p(x, k) == x)
+        assert len(want) == t.p ** k
+        assert t.fixed_field(k) == want
+
+
+def test_fq_basis_fp_pinned():
+    # the first e nonzero subfield elements, in canonical order, that raise
+    # the F_p-rank (a nullspace echelon basis would differ on these towers)
+    pinned = {(2, 2, 7): (11930, 1), (2, 3, 5): (8608, 27228, 1),
+              (3, 2, 5): (44013, 1), (2, 4, 3): (512, 64, 8, 1)}
+    for pen, want in pinned.items():
+        assert make_tower(*pen).fq_basis_fp == want
