@@ -1,4 +1,4 @@
-"""Point counting for the plane curves attached to the {0,1,3} support.
+"""The plane curves attached to the {0,1,3} support.
 
 With u = x^q - x and v = y^q - y, the three affine polynomials are
 
@@ -7,9 +7,15 @@ With u = x^q - x and v = y^q - y, the three affine polynomials are
     V(x,y)   = prod_{gamma in F_{q^2} minus F_q} (u - gamma v) + 1
 
 V is the quotient H/W off W; the support code with exponents {0,1,3} is MRD
-exactly when H has no rational point off W.  The product over gamma is the
-reference semantics and needs the quadratic extension; the counting loops use
-the closed form
+exactly when H has no rational point off W.  For a fixed x both y -> H(1,x,y)
+and y -> W(1,x,y) are F_q-linear: with a_j = x^q - x^{q^j} they are the
+q-polynomials -a_j y + (a_j - u) y^q + u y^{q^j}, codewords of the supports
+{0,1,3} and {0,1,2}.  So the line through x holds a point of H off W exactly
+when rank [M_H; M_W] > rank M_H for their d x d matrices over F_p, and the
+MRD engine and the point count rank two small matrices per x instead of
+evaluating all q^{2n} pairs.
+
+The intersection count evaluates V through the closed form
 
     v = 0            ->  u^{q^2-q}
     u/v in F_q       ->  v^{q^2-q}
@@ -26,77 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _batch
-from .fields import CapExceeded, make_tower
+from .fields import CapExceeded, make_tower, nullspace_modp, span_modp
 from .codes import SupportCode
 
 PAIR_BUDGET = 1 << 28
 POINT_SAMPLE_LIMIT = 200
-
-
-def eval_H(tower, x: int, y: int) -> int:
-    t = tower
-    u = t.sub(t.frobenius_q(x, 1), x)
-    v = t.sub(t.frobenius_q(y, 1), y)
-    a = t.sub(t.frobenius_q(x, 1), t.frobenius_q(x, 3))
-    c = t.sub(t.frobenius_q(y, 3), t.frobenius_q(y, 1))
-    return t.add(t.mul(a, v), t.mul(c, u))
-
-
-def eval_W(tower, x: int, y: int) -> int:
-    t = tower
-    u = t.sub(t.frobenius_q(x, 1), x)
-    v = t.sub(t.frobenius_q(y, 1), y)
-    a = t.sub(t.frobenius_q(x, 1), t.frobenius_q(x, 2))
-    c = t.sub(t.frobenius_q(y, 2), t.frobenius_q(y, 1))
-    return t.add(t.mul(a, v), t.mul(c, u))
-
-
-# ----------------------------------------------------------------------------
-# the product over gamma: reference (big tower) and closed form
-# ----------------------------------------------------------------------------
-
-class QuadraticLift:
-    """Embedding of F_{q^n} into F_{q^{2n}}, where F_{q^2} also lives."""
-
-    def __init__(self, tower):
-        self.base = tower
-        self.big = make_tower(tower.p, tower.e, 2 * tower.n)
-        self.root = self._modulus_root()
-        self.gammas = quadratic_gammas(self.big)
-
-    def _modulus_root(self) -> int:
-        tb, tB = self.base, self.big
-        mod = tb.modulus
-        # candidates: the index-2 subfield of the big tower
-        for x in tB.fixed_field(tb.degree):
-            acc = 0
-            xp = 1
-            for c in mod:
-                if c:
-                    acc = tB.add(acc, tB.mul(tB.embed_fp(c), xp))
-                xp = tB.mul(xp, x)
-            if acc == 0:
-                return x
-        raise RuntimeError("modulus has no root in the doubled tower")
-
-    def lift(self, x: int) -> int:
-        tb, tB = self.base, self.big
-        acc = 0
-        rp = 1
-        for c in tb.coords(x):
-            if c:
-                acc = tB.add(acc, tB.mul(tB.embed_fp(c), rp))
-            rp = tB.mul(rp, self.root)
-        return acc
-
-    def drop(self, X: int) -> int:
-        """Inverse of lift for elements in the embedded copy of F_{q^n}."""
-        tb = self.base
-        for m in range(tb.order):
-            x = tb.element_at(m)
-            if self.lift(x) == X:
-                return x
-        raise ValueError("element is not in the embedded base field")
+X_BLOCK = 1 << 10     # x values per block of line maps
 
 
 def quadratic_gammas(tower) -> list[int]:
@@ -105,65 +46,28 @@ def quadratic_gammas(tower) -> list[int]:
     return [g for g in tower.fixed_field(2 * tower.e) if g not in sub]
 
 
-def v_product(lift: QuadraticLift, x: int, y: int) -> int:
-    """The literal product over gamma, evaluated upstairs, plus 1; the result
-    is returned as an element of the base field."""
-    tb, tB = lift.base, lift.big
-    u = tB.sub(tB.frobenius_p(lift.lift(x), tb.e), lift.lift(x))
-    Y = lift.lift(y)
-    v = tB.sub(tB.frobenius_p(Y, tb.e), Y)
-    acc = 1
-    for gamma in lift.gammas:
-        acc = tB.mul(acc, tB.sub(u, tB.mul(gamma, v)))
-    val = tB.add(acc, 1)
-    # invert the embedding by linear search over the base field (oracle path)
-    return lift.drop(val)
-
-
-def v_closed(tower, x: int, y: int) -> int:
-    """Closed form of the product plus 1, computed inside F_{q^n}."""
-    t, q = tower, tower.q
-    u = t.sub(t.frobenius_q(x, 1), x)
-    v = t.sub(t.frobenius_q(y, 1), y)
-    if v == 0:
-        prod = t.pow(u, q * q - q)
-    else:
-        r = t.mul(u, t.inv(v))
-        if t.in_subfield_q(r):
-            prod = t.pow(v, q * q - q)
-        else:
-            num = t.sub(t.pow(u, q * q), t.mul(u, t.pow(v, q * q - 1)))
-            den = t.sub(t.pow(u, q), t.mul(u, t.pow(v, q - 1)))
-            prod = t.mul(num, t.inv(den))
-    return t.add(prod, 1)
-
-
 # ----------------------------------------------------------------------------
 # vectorized counting
 # ----------------------------------------------------------------------------
 
 class _CurveRows:
-    """The rows (x^q - x^{q^j}) v + (y^{q^j} - y^q) u over all y, for
-    j in {2, 3}: W(1, x, .) for j = 2 and H(1, x, .) for j = 3.  `cols`
-    gives the packed y of each column (packed order 0..Q-1 by default)."""
+    """The rows (x^q - x^{q^j}) v + (y^{q^j} - y^q) u over all packed y, for
+    j in {2, 3}: W(1, x, .) for j = 2 and H(1, x, .) for j = 3."""
 
-    def __init__(self, tower, cols=None):
+    def __init__(self, tower):
         t = self.tower = tower
         ids = np.arange(t.order, dtype=np.int64)
         F1 = _batch.vec_frob_q(t, ids, 1)
         self.U = _batch.vec_sub(t, F1, ids)                    # u = x^q - x
         self.A = {j: _batch.vec_sub(t, F1, _batch.vec_frob_q(t, ids, j))
                   for j in (2, 3)}                             # x^q - x^{q^j}
-        cols = ids if cols is None else cols
-        self.U_cols = self.U[cols]
-        self.C_cols = {j: _batch.vec_neg(t, a[cols])           # y^{q^j} - y^q
-                       for j, a in self.A.items()}
+        self.C = {j: _batch.vec_neg(t, a) for j, a in self.A.items()}  # y^{q^j} - y^q
 
     def row(self, x: int, j: int) -> np.ndarray:
         """The row of the packed value x."""
         t, a, u = self.tower, np.int64(int(self.A[j][x])), np.int64(int(self.U[x]))
-        return _batch.vec_add(t, _batch.vec_mul(t, a, self.U_cols),
-                              _batch.vec_mul(t, self.C_cols[j], u))
+        return _batch.vec_add(t, _batch.vec_mul(t, a, self.U),
+                              _batch.vec_mul(t, self.C[j], u))
 
 
 def _v_closed_row(tower, u0: int, U: np.ndarray) -> np.ndarray:
@@ -275,35 +179,72 @@ class CurveCount:
                 "mrd_consistent": self.mrd_consistent}
 
 
-def mrd_via_curve(tower, budget: int = PAIR_BUDGET):
-    """MRD verdict for the {0,1,3} support: scan the affine plane for a point
-    with H = 0 and W != 0 (the line at infinity lies on both curves).  The
-    first such point, in canonical (x, y) order, yields a witness codeword
-    through the Moore nullspace on A = (1, x, y)."""
+def _line_maps(tower, idx):
+    """(M_H, M_W): the (len(idx), d, d) matrices over F_p of y -> H(1,x,y) and
+    y -> W(1,x,y) for the elements x of canonical indices idx.  Their
+    coefficients (-a_j, a_j - u, u) are F_p-linear in x, so their coordinates
+    come from the q-Frobenius matrices and the support block matrices turn
+    them into maps."""
+    from .verify import _support_block
+    t, p = tower, tower.p
+    X = _batch.element_coord_columns(idx, p, t.degree)
+    Xq = X @ t.frob_q_matrix(1).T
+    maps = []
+    for j in (3, 2):
+        Xj = X @ t.frob_q_matrix(j).T
+        coeffs = np.concatenate([Xj - Xq, X - Xj, Xq - X], axis=1) % p
+        maps.append(_support_block(t.p, t.e, t.n, (0, 1, j)).matrices(coeffs))
+    return maps
+
+
+def _line_ranks(tower):
+    """(idx, rank M_H, rank [M_H; M_W]) over every x in canonical order, in
+    blocks of canonical indices idx that start at 16 and double up to
+    X_BLOCK, so an early point costs little."""
+    t = tower
+    start, size = 0, 16
+    while start < t.order:
+        idx = np.arange(start, min(start + size, t.order), dtype=np.int64)
+        mh, mw = _line_maps(t, idx)
+        both = _batch.batch_rank(np.concatenate([mh, mw], axis=1), t.p)
+        yield idx, _batch.batch_rank(mh, t.p), both
+        start, size = start + size, min(2 * size, X_BLOCK)
+
+
+def _h_off_w(tower, xpos: int) -> np.ndarray:
+    """Coordinate rows of the y with H(1,x,y) = 0 != W(1,x,y), x the element
+    of canonical index xpos: ker M_H listed, ker M_W dropped."""
+    p = tower.p
+    mh, mw = (m[0] for m in _line_maps(tower, np.array([xpos], dtype=np.int64)))
+    ys = span_modp(nullspace_modp(mh, p), p)
+    return ys[(ys @ mw.T % p).any(axis=1)]
+
+
+def mrd_via_curve(tower):
+    """MRD verdict for the {0,1,3} support: look for a point with H = 0 and
+    W != 0 (the line at infinity lies on both curves), line by line.  The
+    first x in canonical order with rank [M_H; M_W] > rank M_H, and the y of
+    smallest canonical index in ker M_H minus ker M_W, give the first such
+    point in canonical (x, y) order; `scanned` is its position plus one
+    (q^{2n} for MRD).  The point yields a witness codeword through the Moore
+    nullspace on A = (1, x, y)."""
     from .moore import _codeword_killing
     from .verify import Certificate, VERDICT_MRD, VERDICT_NOT_MRD, _ms
     t0 = time.perf_counter()
     t = tower
-    if t.order ** 2 > budget:
-        raise CapExceeded("pair enumeration exceeds the budget")
     code = SupportCode(t, (0, 1, 3), 1)
-    perm = t.elements_array()          # canonical position -> packed value
-    rows = _CurveRows(t, perm)
-    scanned = 0
-    hit = None
-    for xpos in range(t.order):
-        x = int(perm[xpos])
-        bad = np.nonzero((rows.row(x, 3) == 0) & (rows.row(x, 2) != 0))[0]
+    for idx, rank_h, rank_hw in _line_ranks(t):
+        bad = np.flatnonzero(rank_hw > rank_h)
         if bad.size:
-            ypos = int(bad[0])
-            scanned += ypos + 1
-            hit = (x, int(perm[ypos]))
+            xpos = int(idx[bad[0]])
             break
-        scanned += t.order
-    if hit is None:
+    else:
         return Certificate(code.descriptor(), VERDICT_MRD, "curve", None,
-                           scanned, t.descriptor(), _ms(t0))
-    x, y = hit
+                           t.order ** 2, t.descriptor(), _ms(t0))
+    ys = _h_off_w(t, xpos)
+    canon = ys @ t.p ** np.arange(t.degree - 1, -1, -1, dtype=np.int64)
+    first = int(np.argmin(canon))
+    x, y = t.element_at(xpos), t.element(ys[first].tolist())
     f = _codeword_killing(t, (1, x, y), (0, 1, 3))
     kd = f.kernel_dim()
     if kd < 3:
@@ -311,7 +252,8 @@ def mrd_via_curve(tower, budget: int = PAIR_BUDGET):
     witness = {"point": [t.coords(x), t.coords(y)],
                "codeword": f.to_json(), "kernel_dim": kd}
     return Certificate(code.descriptor(), VERDICT_NOT_MRD, "curve", witness,
-                       scanned, t.descriptor(), _ms(t0))
+                       xpos * t.order + int(canon[first]) + 1, t.descriptor(),
+                       _ms(t0))
 
 
 def curve_report(tower) -> CurveCount:
@@ -334,16 +276,22 @@ def curve_report(tower) -> CurveCount:
 
 
 def _h_minus_w_points(tower):
-    t = tower
-    if t.order ** 2 > PAIR_BUDGET:
-        raise CapExceeded("pair enumeration exceeds the budget")
-    rows = _CurveRows(t)
-    pts = []
+    """The points with H = 0 != W in packed (x, y) order, the first
+    POINT_SAMPLE_LIMIT of them, and their number: each x contributes
+    |ker M_H| - |ker M_H cap ker M_W| points."""
+    t, p, d = tower, tower.p, tower.degree
     total = 0
-    for x in range(t.order):
-        ys = np.nonzero((rows.row(x, 3) == 0) & (rows.row(x, 2) != 0))[0]
-        total += int(ys.size)
-        for y in ys[:max(0, POINT_SAMPLE_LIMIT - len(pts))]:
-            pts.append((x, int(y)))
+    xpos = []
+    for idx, rank_h, rank_hw in _line_ranks(t):
+        total += int((p ** (d - rank_h) - p ** (d - rank_hw)).sum())
+        xpos.append(idx[rank_hw > rank_h])
+    xpos = np.concatenate(xpos)
+    packing = p ** np.arange(d, dtype=np.int64)
+    xs = _batch.element_coord_columns(xpos, p, d) @ packing
+    pts = []
+    for i in np.argsort(xs):
+        if len(pts) >= POINT_SAMPLE_LIMIT:
+            break
+        ys = np.sort(_h_off_w(t, int(xpos[i])) @ packing)
+        pts += [(int(xs[i]), int(y)) for y in ys[:POINT_SAMPLE_LIMIT - len(pts)]]
     return pts, total
-

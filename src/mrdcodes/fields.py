@@ -466,16 +466,19 @@ class FieldTower:
             p, d = self.p, self.degree
             if k < 1 or d % k:
                 raise ValueError(f"k={k} must divide the degree {d}")
-            # kernel of (phi_p^k - id) as an F_p-linear map
-            mat = self.frob_p_matrix(k) - np.eye(d, dtype=np.int64)
-            basis = nullspace_modp(mat, p)
-            if len(basis) != k:
-                raise RuntimeError("fixed field has wrong size (internal fault)")
-            combos = np.array(list(itertools.product(range(p), repeat=k)), dtype=np.int64)
-            span = (combos @ np.array(basis) % p).tolist()
+            span = span_modp(self._fixed_basis(k), p).tolist()
             self._lazy[key] = tuple(sorted(map(self.element, span),
                                            key=self.canonical_index))
         return self._lazy[key]
+
+    def _fixed_basis(self, k: int) -> list:
+        """F_p-basis of the fixed field of the k-fold p-Frobenius: the kernel
+        of (phi_p^k - id) as an F_p-linear map, as coordinate vectors."""
+        mat = self.frob_p_matrix(k) - np.eye(self.degree, dtype=np.int64)
+        basis = nullspace_modp(mat, self.p)
+        if len(basis) != k:
+            raise RuntimeError("fixed field has wrong size (internal fault)")
+        return basis
 
     @property
     def subfield_elements(self) -> tuple:
@@ -514,19 +517,12 @@ class FieldTower:
         key = "qcoords"
         if key not in self._lazy:
             d, e, n, p = self.degree, self.e, self.n, self.p
-            # F_p-basis of F_q: the first e nonzero subfield elements, in
-            # canonical order, that raise the F_p-rank
-            bas: list[int] = []
-            rows: list[list[int]] = []
-            for x in self.subfield_elements:
-                v = self.coords(x)
-                if len(rref_modp(np.array(rows + [v]), p)[1]) > len(rows):
-                    rows.append(v)
-                    bas.append(x)
-                    if len(bas) == e:
-                        break
-            if len(bas) != e:
-                raise RuntimeError("subfield basis extraction failed")
+            # F_p-basis of F_q: the reduced echelon rows of the fixed-field
+            # kernel, last pivot first (the greedy choice of the first e
+            # nonzero subfield elements, in canonical order, that raise the
+            # F_p-rank, without listing F_q)
+            rows = rref_modp(self._fixed_basis(e), p)[0][::-1]
+            bas = [self.element(r.tolist()) for r in rows]
             B = np.zeros((d, d), dtype=np.int64)
             qb = self.q_basis
             for i in range(n):
@@ -632,6 +628,14 @@ def rref_modp(mat, p):
         m = (m - np.outer(factors, m[r])) % p
         pivots.append(c)
     return m, pivots
+
+
+def span_modp(basis, p):
+    """All p^k F_p-combinations of the k basis vectors, as rows; row m has
+    the coefficients of m's base-p digits, most significant first."""
+    combos = np.array(list(itertools.product(range(p), repeat=len(basis))),
+                      dtype=np.int64)
+    return combos @ np.array(basis, dtype=np.int64) % p
 
 
 def nullspace_modp(mat, p):

@@ -1,36 +1,190 @@
+import json
 import random
 
-from mrdcodes import curves, verify
+import numpy as np
+import pytest
+
+from mrdcodes import curves, moore, verify
+from mrdcodes.codes import SupportCode
 from mrdcodes.fields import make_tower
 from mrdcodes.linpoly import LinPoly
 
 rng = random.Random(0xCB2)
+
+# the towers (p, e, n) on which mrd_via_curve is compared with the pair sweep
+CURVE_TOWERS = [(2, 1, 5), (2, 1, 6), (2, 1, 7), (2, 1, 8), (3, 1, 5), (3, 1, 6),
+                (3, 1, 7), (3, 1, 8), (2, 2, 5), (2, 2, 6), (2, 2, 7), (5, 1, 5),
+                (5, 1, 6)]
+
+
+# ----------------------------------------------------------------------------
+# reference semantics: H, W and V pointwise, V as the product over gamma
+# ----------------------------------------------------------------------------
+
+def eval_H(tower, x: int, y: int) -> int:
+    t = tower
+    u = t.sub(t.frobenius_q(x, 1), x)
+    v = t.sub(t.frobenius_q(y, 1), y)
+    a = t.sub(t.frobenius_q(x, 1), t.frobenius_q(x, 3))
+    c = t.sub(t.frobenius_q(y, 3), t.frobenius_q(y, 1))
+    return t.add(t.mul(a, v), t.mul(c, u))
+
+
+def eval_W(tower, x: int, y: int) -> int:
+    t = tower
+    u = t.sub(t.frobenius_q(x, 1), x)
+    v = t.sub(t.frobenius_q(y, 1), y)
+    a = t.sub(t.frobenius_q(x, 1), t.frobenius_q(x, 2))
+    c = t.sub(t.frobenius_q(y, 2), t.frobenius_q(y, 1))
+    return t.add(t.mul(a, v), t.mul(c, u))
+
+
+class QuadraticLift:
+    """Embedding of F_{q^n} into F_{q^{2n}}, where F_{q^2} also lives."""
+
+    def __init__(self, tower):
+        self.base = tower
+        self.big = make_tower(tower.p, tower.e, 2 * tower.n)
+        self.root = self._modulus_root()
+        self.gammas = curves.quadratic_gammas(self.big)
+
+    def _modulus_root(self) -> int:
+        tb, tB = self.base, self.big
+        mod = tb.modulus
+        # candidates: the index-2 subfield of the big tower
+        for x in tB.fixed_field(tb.degree):
+            acc = 0
+            xp = 1
+            for c in mod:
+                if c:
+                    acc = tB.add(acc, tB.mul(tB.embed_fp(c), xp))
+                xp = tB.mul(xp, x)
+            if acc == 0:
+                return x
+        raise RuntimeError("modulus has no root in the doubled tower")
+
+    def lift(self, x: int) -> int:
+        tb, tB = self.base, self.big
+        acc = 0
+        rp = 1
+        for c in tb.coords(x):
+            if c:
+                acc = tB.add(acc, tB.mul(tB.embed_fp(c), rp))
+            rp = tB.mul(rp, self.root)
+        return acc
+
+    def drop(self, X: int) -> int:
+        """Inverse of lift for elements in the embedded copy of F_{q^n}."""
+        tb = self.base
+        for m in range(tb.order):
+            x = tb.element_at(m)
+            if self.lift(x) == X:
+                return x
+        raise ValueError("element is not in the embedded base field")
+
+
+def v_product(lift: QuadraticLift, x: int, y: int) -> int:
+    """The literal product over gamma, evaluated upstairs, plus 1; the result
+    is returned as an element of the base field."""
+    tb, tB = lift.base, lift.big
+    u = tB.sub(tB.frobenius_p(lift.lift(x), tb.e), lift.lift(x))
+    Y = lift.lift(y)
+    v = tB.sub(tB.frobenius_p(Y, tb.e), Y)
+    acc = 1
+    for gamma in lift.gammas:
+        acc = tB.mul(acc, tB.sub(u, tB.mul(gamma, v)))
+    val = tB.add(acc, 1)
+    # invert the embedding by linear search over the base field
+    return lift.drop(val)
+
+
+def v_closed(tower, x: int, y: int) -> int:
+    """Closed form of the product plus 1, computed inside F_{q^n}."""
+    t, q = tower, tower.q
+    u = t.sub(t.frobenius_q(x, 1), x)
+    v = t.sub(t.frobenius_q(y, 1), y)
+    if v == 0:
+        prod = t.pow(u, q * q - q)
+    else:
+        r = t.mul(u, t.inv(v))
+        if t.in_subfield_q(r):
+            prod = t.pow(v, q * q - q)
+        else:
+            num = t.sub(t.pow(u, q * q), t.mul(u, t.pow(v, q * q - 1)))
+            den = t.sub(t.pow(u, q), t.mul(u, t.pow(v, q - 1)))
+            prod = t.mul(num, t.inv(den))
+    return t.add(prod, 1)
+
+
+# ----------------------------------------------------------------------------
+# reference engine: every pair (x, y), one Q-long row of H and of W per x
+# ----------------------------------------------------------------------------
+
+def pair_sweep(t):
+    """Reference for mrd_via_curve: evaluate H and W on all q^{2n} points in
+    canonical (x, y) order and stop at the first point with H = 0 != W."""
+    code = SupportCode(t, (0, 1, 3), 1)
+    Q = t.order
+    perm = t.elements_array()          # canonical position -> packed value
+    rows = curves._CurveRows(t)
+    for xpos in range(Q):
+        x = int(perm[xpos])
+        off_w = (rows.row(x, 3) == 0) & (rows.row(x, 2) != 0)
+        bad = np.flatnonzero(off_w[perm])
+        if bad.size:
+            y = int(perm[bad[0]])
+            f = moore._codeword_killing(t, (1, x, y), (0, 1, 3))
+            witness = {"point": [t.coords(x), t.coords(y)],
+                       "codeword": f.to_json(), "kernel_dim": f.kernel_dim()}
+            return verify.Certificate(code.descriptor(), "NOT_MRD", "curve",
+                                      witness, xpos * Q + int(bad[0]) + 1,
+                                      t.descriptor(), 0.0)
+    return verify.Certificate(code.descriptor(), "MRD", "curve", None, Q * Q,
+                              t.descriptor(), 0.0)
+
+
+def pair_points(t):
+    """Reference for _h_minus_w_points: the points with H = 0 != W in packed
+    (x, y) order, the first POINT_SAMPLE_LIMIT of them, and their number."""
+    rows = curves._CurveRows(t)
+    pts, total = [], 0
+    for x in range(t.order):
+        ys = np.flatnonzero((rows.row(x, 3) == 0) & (rows.row(x, 2) != 0))
+        total += int(ys.size)
+        pts += [(x, int(y)) for y in ys[:max(0, curves.POINT_SAMPLE_LIMIT - len(pts))]]
+    return pts, total
+
+
+def _untimed(cert):
+    out = cert.to_json()
+    out.pop("elapsed_ms")
+    return json.dumps(out, sort_keys=True)
 
 
 def test_eval_identities():
     t = make_tower(2, 1, 7)
     for _ in range(25):
         x, y = rng.randrange(t.order), rng.randrange(t.order)
-        assert curves.eval_H(t, x, x) == 0
-        assert curves.eval_H(t, 0, y) == 0
+        assert eval_H(t, x, x) == 0
+        assert eval_H(t, 0, y) == 0
     for x in t.subfield_elements:
         for _ in range(10):
             y = rng.randrange(t.order)
-            assert curves.eval_W(t, x, y) == 0
+            assert eval_W(t, x, y) == 0
 
 
 def test_product_form_matches_closed_form():
     t = make_tower(2, 1, 7)
-    lift = curves.QuadraticLift(t)
+    lift = QuadraticLift(t)
     assert len(lift.gammas) == t.q ** 2 - t.q
     for _ in range(40):
         x, y = rng.randrange(t.order), rng.randrange(t.order)
-        assert curves.v_product(lift, x, y) == curves.v_closed(t, x, y)
+        assert v_product(lift, x, y) == v_closed(t, x, y)
     t3 = make_tower(3, 1, 5)
-    lift3 = curves.QuadraticLift(t3)
+    lift3 = QuadraticLift(t3)
     for _ in range(25):
         x, y = rng.randrange(t3.order), rng.randrange(t3.order)
-        assert curves.v_product(lift3, x, y) == curves.v_closed(t3, x, y)
+        assert v_product(lift3, x, y) == v_closed(t3, x, y)
 
 
 def test_case_identities_on_w_points():
@@ -42,7 +196,7 @@ def test_case_identities_on_w_points():
             for _ in range(15):
                 y = rng.randrange(t.order)
                 v = t.sub(t.frobenius_q(y, 1), y)
-                assert curves.v_closed(t, x, y) == \
+                assert v_closed(t, x, y) == \
                     t.add(t.pow(v, q * q - q), 1)
         for xi in t.subfield_elements:
             if xi == 0:
@@ -55,8 +209,8 @@ def test_case_identities_on_w_points():
                 if t.rel_trace(target) != 0:
                     continue
                 x = verify.artin_schreier_preimage(t, target)
-                assert curves.eval_W(t, x, y) == 0
-                assert curves.v_closed(t, x, y) == \
+                assert eval_W(t, x, y) == 0
+                assert v_closed(t, x, y) == \
                     t.add(t.pow(v, q * q - q), 1)
 
 
@@ -115,11 +269,42 @@ def test_mrd_via_curve_verdicts():
     assert verify.validate_certificate(cert)
     t = make_tower(2, 1, 7)
     x, y = (t.element_from_json(v) for v in cert.witness["point"])
-    assert curves.eval_H(t, x, y) == 0 and curves.eval_W(t, x, y) != 0
+    assert eval_H(t, x, y) == 0 and eval_W(t, x, y) != 0
     w = LinPoly.from_json(t, cert.witness["codeword"])
     assert w.kernel_dim() >= 3
     for root in (1, x, y):
         assert w.eval(root) == 0
+
+
+@pytest.mark.parametrize("p,e,n", CURVE_TOWERS)
+def test_mrd_via_curve_matches_pair_sweep(p, e, n):
+    t = make_tower(p, e, n)
+    assert _untimed(curves.mrd_via_curve(t)) == _untimed(pair_sweep(t))
+
+
+def test_mrd_via_curve_past_the_pair_sweep():
+    # q^{2n} = 2.8e8 pairs; the per-line kernels need 16,807 small ranks
+    t = make_tower(7, 1, 5)
+    cert = curves.mrd_via_curve(t)
+    assert cert.verdict == verify.trinomial_criterion(t).verdict == "MRD"
+    assert cert.scanned == t.order ** 2
+    assert verify.validate_certificate(cert)
+
+
+def test_mrd_via_curve_without_tables(request):
+    towers = [(2, 1, 7), (3, 1, 5), (2, 2, 6)]
+    want = [_untimed(curves.mrd_via_curve(make_tower(*pen))) for pen in towers]
+    request.getfixturevalue("no_tables")
+    for pen, w in zip(towers, want):
+        t = make_tower(*pen)
+        assert t.tables is None
+        assert _untimed(curves.mrd_via_curve(t)) == w, pen
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 7), (2, 1, 8), (3, 1, 6), (2, 2, 6), (3, 1, 5)])
+def test_h_minus_w_points_match_pair_points(p, e, n):
+    t = make_tower(p, e, n)
+    assert curves._h_minus_w_points(t) == pair_points(t)
 
 
 def test_curve_report_consistency():

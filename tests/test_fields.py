@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mrdcodes import _batch, _linalg
 from mrdcodes.fields import (CapExceeded, factorize, inverse_modp, is_prime,
-                             make_tower, nullspace_modp, solve_modp,
+                             make_tower, nullspace_modp, rref_modp, solve_modp,
                              tower_from_descriptor)
 
 rng = random.Random(0xF1E1D5)
@@ -254,6 +254,38 @@ def test_fixed_field_matches_brute_force(pen):
         want = tuple(x for x in t.enumerate_field() if t.frobenius_p(x, k) == x)
         assert len(want) == t.p ** k
         assert t.fixed_field(k) == want
+
+
+def greedy_fq_basis(t):
+    """Reference for fq_basis_fp: the first e nonzero subfield elements, in
+    canonical order, that raise the F_p-rank."""
+    bas, rows = [], []
+    for x in t.subfield_elements:
+        v = t.coords(x)
+        if len(rref_modp(np.array(rows + [v]), t.p)[1]) > len(rows):
+            rows.append(v)
+            bas.append(x)
+            if len(bas) == t.e:
+                break
+    return tuple(bas)
+
+
+# every tower with e >= 2 and q^n <= 2^12
+SMALL_EXTENSION_TOWERS = [(p, e, n) for p in range(2, 65) if is_prime(p)
+                          for e in range(2, 13) for n in range(1, 7)
+                          if p ** (e * n) <= 1 << 12]
+
+
+def test_fq_basis_fp_matches_greedy_choice():
+    assert len(SMALL_EXTENSION_TOWERS) > 50
+    for pen in SMALL_EXTENSION_TOWERS:
+        t = make_tower(*pen)
+        assert t.fq_basis_fp == greedy_fq_basis(t), pen
+
+
+def test_q_coords_without_listing_fq():
+    # F_q has 4294967311 elements; listing it ran out of memory
+    assert make_tower(4294967311, 1, 1).q_coords(5) == (5,)
 
 
 def test_fq_basis_fp_pinned():

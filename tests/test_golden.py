@@ -1,10 +1,13 @@
-"""Golden certificates: the README-style `verify`/`classify` CLI outputs and
-the classifications of the criterion-10 replay (plus q=2 n=9 k=4), without
-`elapsed_ms`, compared byte for byte with the files in tests/data/.
+"""Golden certificates: the README-style `verify`/`classify` CLI outputs, the
+classifications of the criterion-10 replay (plus q=2 n=9 k=4), and the curve
+engine's certificates and reports, without `elapsed_ms`, compared byte for
+byte with the files in tests/data/.
 
-The files were recorded before the orbit-reduced scan replaced the raw
-projective sweep; any change to an engine must leave them unchanged.  To
-record them again (only when a certificate is meant to change):
+The CLI and classification files were recorded before the orbit-reduced scan
+replaced the raw projective sweep, the curve file before the per-line kernels
+replaced the sweep over all pairs (x, y); any change to an engine must leave
+them unchanged.  To record them again (only when a certificate is meant to
+change):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,12 +21,14 @@ from pathlib import Path
 
 import pytest
 
-from mrdcodes import cli, verify
+from mrdcodes import cli, curves, verify
 from mrdcodes.fields import make_tower
+from test_curves import CURVE_TOWERS
 
 DATA = Path(__file__).resolve().parent / "data"
 CLI_FILE = DATA / "golden_cli.jsonl"
 CLASSIFY_FILE = DATA / "golden_classify.jsonl"
+CURVE_FILE = DATA / "golden_curve.jsonl"
 
 CLI_CASES = [
     ["verify", "--q", "3", "--n", "7", "--T", "0,1,3"],
@@ -47,6 +52,9 @@ CLI_CASES = [
 # the criterion-10 replay (q=2 n<=8, q=3 n<=7, k<=n/2) and q=2 n=9 k=4
 CLASSIFY_CASES = [(q, n, k) for q in (2, 3) for n in range(2, {2: 8, 3: 7}[q] + 1)
                   for k in range(1, n // 2 + 1)] + [(2, 9, 4)]
+
+# `mrd_via_curve` on every tower of the oracle test, then `curve_report`
+CURVE_REPORT_TOWERS = [(2, 1, 7), (3, 1, 7), (2, 1, 8)]
 
 
 def _untimed(obj):
@@ -73,6 +81,15 @@ def classify_line(q, n, k, workers: int) -> str:
     return _line({"q": q, "n": n, "k": k, "classification": cl.to_json()})
 
 
+def curve_lines() -> list[str]:
+    return [_line({"tower": list(pen), "certificate":
+                   curves.mrd_via_curve(make_tower(*pen)).to_json()})
+            for pen in CURVE_TOWERS] + \
+        [_line({"tower": list(pen), "report":
+                curves.curve_report(make_tower(*pen)).to_json()})
+         for pen in CURVE_REPORT_TOWERS]
+
+
 def _golden(path):
     return path.read_text().splitlines()
 
@@ -90,9 +107,14 @@ def test_classify_golden():
         assert classify_line(q, n, k, workers=1) == want, (q, n, k)
 
 
+def test_curve_golden():
+    assert curve_lines() == _golden(CURVE_FILE)
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     CLI_FILE.write_text("".join(cli_line(a, 1) + "\n" for a in CLI_CASES))
     CLASSIFY_FILE.write_text("".join(classify_line(*c, workers=1) + "\n"
                                      for c in CLASSIFY_CASES))
+    CURVE_FILE.write_text("".join(line + "\n" for line in curve_lines()))
     sys.exit(0)

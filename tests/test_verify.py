@@ -6,7 +6,7 @@ import pytest
 
 import numpy as np
 
-from mrdcodes import _batch, curves, fields, moore, verify
+from mrdcodes import _batch, curves, moore, verify
 from mrdcodes.codes import SupportCode, gabidulin, named_family
 from mrdcodes.fields import make_tower
 from mrdcodes.linpoly import LinPoly
@@ -106,18 +106,6 @@ def brute_orbits(t, exps):
                 orbit.add(img)
             out[(lead, raw)] = (min(orbit), len(orbit))
     return out
-
-
-@pytest.fixture
-def no_tables(monkeypatch):
-    """Towers built inside the test have no Zech tables."""
-    caches = (fields.make_tower, verify._orbit_sweep, verify._support_block)
-    monkeypatch.setattr(fields, "TABLE_CAP", 0)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
 
 
 def _untimed(cert):
