@@ -26,6 +26,12 @@ def inverse_table(p: int) -> np.ndarray:
     return inv
 
 
+def work_dtype(p: int):
+    """The dtype batch_rank eliminates in: products of two entries below p
+    must fit it."""
+    return np.int32 if (p - 1) ** 2 < 1 << 31 else np.int64
+
+
 def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks over F_p of a batch of matrices, shape (B, r, c).  Destroys input.
 
@@ -33,13 +39,16 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     first unused row with a nonzero entry, normalizes it, and clears the
     column from every other row.  Matrices without a pivot in the column are
     masked out of the update.
+
+    A C-contiguous input of dtype work_dtype(p) is reduced in place.  Pivot
+    rows are left unnormalized; in the reduced batch every used row has its
+    first nonzero entry at its pivot column, that column is zero in every
+    other row, and the unused rows are zero.
     """
-    # products of two entries below p must fit the working dtype
-    dtype = np.int32 if (p - 1) ** 2 < 1 << 31 else np.int64
-    m = np.ascontiguousarray(mats, dtype=dtype)
+    m = np.ascontiguousarray(mats, dtype=work_dtype(p))
     B, r, c = m.shape
     used = np.zeros((B, r), dtype=bool)
-    inv = inverse_table(p).astype(dtype)
+    inv = inverse_table(p).astype(m.dtype)
     bindex = np.arange(B)
     tmp = np.empty_like(m)
     for col in range(c):
@@ -57,6 +66,41 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
         m %= p
         used[bindex, sel] |= has
     return used.sum(axis=1)
+
+
+def stacked_ranks(top: np.ndarray, bottom: np.ndarray, p: int):
+    """(rank top, rank [top; bottom]) of two batches of shapes (B, r1, c)
+    and (B, r2, c), from one elimination of the stacked batch.  A lower row
+    becomes a pivot only where every unused top row is zero in its column,
+    so the top block is reduced exactly as it would be alone and its rank
+    is the number of its rows left nonzero."""
+    m = np.concatenate([top, bottom], axis=1, dtype=work_dtype(p))
+    both = batch_rank(m, p)
+    return m[:, :top.shape[1]].any(axis=2).sum(axis=1), both
+
+
+def batch_kernels(mats: np.ndarray, p: int):
+    """(ranks, kernels) over F_p of a batch of matrices, shape (B, r, c).
+
+    kernels has shape (B, c, c); for matrix b its first c - ranks[b] rows
+    are a basis of {v : mats[b] v = 0}, one vector per free column fc in
+    increasing order, and its other rows are zero.  They are read off
+    batch_rank's reduced batch m: v[fc] = 1, v[pc] = -m[i, fc] / m[i, pc]
+    for the row i with pivot column pc, and 0 at the other free columns.
+    """
+    m = np.array(mats, dtype=work_dtype(p))
+    ranks = batch_rank(m, p)
+    c = m.shape[2]
+    nz = m != 0
+    lead = nz.argmax(axis=2)                                   # (B, r)
+    pivot = (lead[:, :, None] == np.arange(c)) & nz.any(axis=2)[:, :, None]
+    scale = inverse_table(p)[np.take_along_axis(m, lead[:, :, None], axis=2)[:, :, 0]]
+    normed = m * scale[:, :, None] % p                         # pivots 1, unused rows 0
+    # row fc: e_fc - sum_i normed[i, fc] e_{pivot column of i}; pivot rows vanish
+    full = (np.eye(c, dtype=np.int64)
+            - normed.transpose(0, 2, 1) @ pivot.astype(np.int64)) % p
+    order = np.argsort(pivot.any(axis=1), axis=1, kind="stable")
+    return ranks, np.take_along_axis(full, order[:, :, None], axis=1)
 
 
 def element_coord_columns(idx: np.ndarray, p: int, d: int) -> np.ndarray:

@@ -12,10 +12,11 @@ and y -> W(1,x,y) are F_q-linear: with a_j = x^q - x^{q^j} they are the
 q-polynomials -a_j y + (a_j - u) y^q + u y^{q^j}, codewords of the supports
 {0,1,3} and {0,1,2}.  So the line through x holds a point of H off W exactly
 when rank [M_H; M_W] > rank M_H for their d x d matrices over F_p, and the
-MRD engine and the point count rank two small matrices per x instead of
-evaluating all q^{2n} pairs.
-
-The intersection count evaluates V through the closed form
+MRD engine and the point count take both ranks from one elimination of
+[M_H; M_W] per x instead of evaluating all q^{2n} pairs.  In the same way
+the points of W on the line through x are ker M_W(x): the intersection
+count lists them kernel by kernel and evaluates V at each through the
+closed form
 
     v = 0            ->  u^{q^2-q}
     u/v in F_q       ->  v^{q^2-q}
@@ -35,9 +36,9 @@ from . import _batch
 from .fields import CapExceeded, make_tower, nullspace_modp, span_modp
 from .codes import SupportCode
 
-PAIR_BUDGET = 1 << 28
 POINT_SAMPLE_LIMIT = 200
-X_BLOCK = 1 << 10     # x values per block of line maps
+X_BLOCK = 1 << 10       # x values per block of line maps
+POINT_BLOCK = 1 << 16   # points of W per evaluation of V
 
 
 def quadratic_gammas(tower) -> list[int]:
@@ -50,45 +51,25 @@ def quadratic_gammas(tower) -> list[int]:
 # vectorized counting
 # ----------------------------------------------------------------------------
 
-class _CurveRows:
-    """The rows (x^q - x^{q^j}) v + (y^{q^j} - y^q) u over all packed y, for
-    j in {2, 3}: W(1, x, .) for j = 2 and H(1, x, .) for j = 3."""
-
-    def __init__(self, tower):
-        t = self.tower = tower
-        ids = np.arange(t.order, dtype=np.int64)
-        F1 = _batch.vec_frob_q(t, ids, 1)
-        self.U = _batch.vec_sub(t, F1, ids)                    # u = x^q - x
-        self.A = {j: _batch.vec_sub(t, F1, _batch.vec_frob_q(t, ids, j))
-                  for j in (2, 3)}                             # x^q - x^{q^j}
-        self.C = {j: _batch.vec_neg(t, a) for j, a in self.A.items()}  # y^{q^j} - y^q
-
-    def row(self, x: int, j: int) -> np.ndarray:
-        """The row of the packed value x."""
-        t, a, u = self.tower, np.int64(int(self.A[j][x])), np.int64(int(self.U[x]))
-        return _batch.vec_add(t, _batch.vec_mul(t, a, self.U),
-                              _batch.vec_mul(t, self.C[j], u))
-
-
-def _v_closed_row(tower, u0: int, U: np.ndarray) -> np.ndarray:
-    """V(x, .) over all y (vector of v-values U), closed form."""
-    t, q = tower, tower.q
-    Q = t.order
-    out = np.empty_like(U)
-    v0 = U == 0
-    out[v0] = t.pow(u0, q * q - q)
+def _v_closed(tower, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V at the pairs of packed u = x^q - x, v = y^q - y (arrays of one
+    shape), closed form.  Needs the Zech tables."""
+    t, q, Q = tower, tower.q, tower.order
+    out = np.empty_like(v)
+    v0 = v == 0
+    out[v0] = _batch.vec_pow(t, u[v0], q * q - q)
     nz = ~v0
-    Unz = U[nz]
-    r = _batch.vec_mul(t, np.int64(u0), _batch.vec_pow(t, Unz, Q - 2))
+    Un, Vn = u[nz], v[nz]
+    r = _batch.vec_mul(t, Un, _batch.vec_pow(t, Vn, Q - 2))
     in_fq = _batch.vec_frob_q(t, r, 1) == r
-    res = np.empty_like(Unz)
-    res[in_fq] = _batch.vec_pow(t, Unz[in_fq], q * q - q)
+    res = np.empty_like(Vn)
+    res[in_fq] = _batch.vec_pow(t, Vn[in_fq], q * q - q)
     gen = ~in_fq
-    Ug = Unz[gen]
-    num = _batch.vec_sub(t, np.full(Ug.shape, t.pow(u0, q * q), dtype=np.int64),
-                         _batch.vec_mul(t, np.int64(u0), _batch.vec_pow(t, Ug, q * q - 1)))
-    den = _batch.vec_sub(t, np.full(Ug.shape, t.pow(u0, q), dtype=np.int64),
-                         _batch.vec_mul(t, np.int64(u0), _batch.vec_pow(t, Ug, q - 1)))
+    Ug, Vg = Un[gen], Vn[gen]
+    num = _batch.vec_sub(t, _batch.vec_pow(t, Ug, q * q),
+                         _batch.vec_mul(t, Ug, _batch.vec_pow(t, Vg, q * q - 1)))
+    den = _batch.vec_sub(t, _batch.vec_pow(t, Ug, q),
+                         _batch.vec_mul(t, Ug, _batch.vec_pow(t, Vg, q - 1)))
     res[gen] = _batch.vec_mul(t, num, _batch.vec_pow(t, den, Q - 2))
     out[nz] = res
     return _batch.vec_add(t, out, np.int64(1))
@@ -97,21 +78,38 @@ def _v_closed_row(tower, u0: int, U: np.ndarray) -> np.ndarray:
 def count_V_cap_W(tower) -> int:
     """Number of F_{q^n}-rational affine points on both V and W.
 
+    An honest enumeration, line by line: the points of W on the line
+    through x are the y in ker M_W(x), listed by span (the whole field for
+    x in F_q, where M_W is zero), and V is evaluated at every one of them
+    by the closed form.  That is q^n small kernels and about (q^2 + q) q^n
+    evaluations of V, in blocks of at most POINT_BLOCK points.  V needs the
+    Zech tables, so a field past TABLE_CAP raises CapExceeded.
+
     Every affine intersection point has both coordinates in F_{q^2}, so this
     is zero whenever n is odd and equals the closure count when n is even;
     see count_V_cap_W_closure for the field-independent value.
     """
-    t = tower
-    if t.order ** 2 > PAIR_BUDGET:
-        raise CapExceeded("pair enumeration exceeds the budget")
-    rows = _CurveRows(t)
+    t, p, d = tower, tower.p, tower.degree
+    if t.tables is None:
+        raise CapExceeded(f"V needs Zech tables; the field of {t.order} "
+                          "elements exceeds TABLE_CAP")
+    packing = p ** np.arange(d, dtype=np.int64)
+    delta = (t.frob_q_matrix(1) - np.eye(d, dtype=np.int64)).T % p   # z -> z^q - z on rows
     count = 0
-    for x in range(t.order):
-        wz = rows.row(x, 2) == 0
-        if not wz.any():
-            continue
-        v_row = _v_closed_row(t, int(rows.U[x]), rows.U)
-        count += int((wz & (v_row == 0)).sum())
+    for idx in _x_blocks(t):
+        ranks, kernels = _batch.batch_kernels(_line_maps(t, idx, 2), p)
+        u = _batch.element_coord_columns(idx, p, d) @ delta % p @ packing
+        dims = d - ranks
+        for k in np.unique(dims).tolist():
+            sel = np.flatnonzero(dims == k)
+            basis_v = kernels[sel, :k] @ delta % p            # v of the basis vectors
+            step = max(1, POINT_BLOCK // sel.size)
+            for start in range(0, p ** k, step):
+                combos = _batch.element_coord_columns(
+                    np.arange(start, min(start + step, p ** k), dtype=np.int64), p, k)
+                v = combos @ basis_v % p @ packing           # (len(sel), len(combos))
+                uu = np.broadcast_to(u[sel][:, None], v.shape)
+                count += int((_v_closed(t, uu, v) == 0).sum())
     return count
 
 
@@ -179,43 +177,43 @@ class CurveCount:
                 "mrd_consistent": self.mrd_consistent}
 
 
-def _line_maps(tower, idx):
-    """(M_H, M_W): the (len(idx), d, d) matrices over F_p of y -> H(1,x,y) and
-    y -> W(1,x,y) for the elements x of canonical indices idx.  Their
-    coefficients (-a_j, a_j - u, u) are F_p-linear in x, so their coordinates
-    come from the q-Frobenius matrices and the support block matrices turn
-    them into maps."""
+def _line_maps(tower, idx, j):
+    """The (len(idx), d, d) matrices over F_p of y -> (x^q - x^{q^j}) v +
+    (y^{q^j} - y^q) u for the elements x of canonical indices idx: M_H for
+    j = 3, M_W for j = 2.  Their coefficients (-a_j, a_j - u, u) are
+    F_p-linear in x, so their coordinates come from the q-Frobenius
+    matrices and the support block matrices turn them into maps."""
     from .verify import _support_block
     t, p = tower, tower.p
     X = _batch.element_coord_columns(idx, p, t.degree)
     Xq = X @ t.frob_q_matrix(1).T
-    maps = []
-    for j in (3, 2):
-        Xj = X @ t.frob_q_matrix(j).T
-        coeffs = np.concatenate([Xj - Xq, X - Xj, Xq - X], axis=1) % p
-        maps.append(_support_block(t.p, t.e, t.n, (0, 1, j)).matrices(coeffs))
-    return maps
+    Xj = X @ t.frob_q_matrix(j).T
+    coeffs = np.concatenate([Xj - Xq, X - Xj, Xq - X], axis=1) % p
+    return _support_block(t.p, t.e, t.n, (0, 1, j)).matrices(coeffs)
+
+
+def _x_blocks(tower):
+    """Canonical indices of every x in order, in blocks that start at 16
+    and double up to X_BLOCK, so an early point costs little."""
+    start, size = 0, 16
+    while start < tower.order:
+        yield np.arange(start, min(start + size, tower.order), dtype=np.int64)
+        start, size = start + size, min(2 * size, X_BLOCK)
 
 
 def _line_ranks(tower):
-    """(idx, rank M_H, rank [M_H; M_W]) over every x in canonical order, in
-    blocks of canonical indices idx that start at 16 and double up to
-    X_BLOCK, so an early point costs little."""
-    t = tower
-    start, size = 0, 16
-    while start < t.order:
-        idx = np.arange(start, min(start + size, t.order), dtype=np.int64)
-        mh, mw = _line_maps(t, idx)
-        both = _batch.batch_rank(np.concatenate([mh, mw], axis=1), t.p)
-        yield idx, _batch.batch_rank(mh, t.p), both
-        start, size = start + size, min(2 * size, X_BLOCK)
+    """(idx, rank M_H, rank [M_H; M_W]) over every x in canonical order, by
+    one elimination of [M_H; M_W] per block of x."""
+    for idx in _x_blocks(tower):
+        mh, mw = (_line_maps(tower, idx, j) for j in (3, 2))
+        yield (idx, *_batch.stacked_ranks(mh, mw, tower.p))
 
 
 def _h_off_w(tower, xpos: int) -> np.ndarray:
     """Coordinate rows of the y with H(1,x,y) = 0 != W(1,x,y), x the element
     of canonical index xpos: ker M_H listed, ker M_W dropped."""
     p = tower.p
-    mh, mw = (m[0] for m in _line_maps(tower, np.array([xpos], dtype=np.int64)))
+    mh, mw = (_line_maps(tower, np.array([xpos], dtype=np.int64), j)[0] for j in (3, 2))
     ys = span_modp(nullspace_modp(mh, p), p)
     return ys[(ys @ mw.T % p).any(axis=1)]
 

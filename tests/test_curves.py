@@ -4,9 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from mrdcodes import curves, moore, verify
+from mrdcodes import _batch, cli, curves, moore, verify
 from mrdcodes.codes import SupportCode
-from mrdcodes.fields import make_tower
+from mrdcodes.fields import CapExceeded, make_tower
 from mrdcodes.linpoly import LinPoly
 
 rng = random.Random(0xCB2)
@@ -15,6 +15,11 @@ rng = random.Random(0xCB2)
 CURVE_TOWERS = [(2, 1, 5), (2, 1, 6), (2, 1, 7), (2, 1, 8), (3, 1, 5), (3, 1, 6),
                 (3, 1, 7), (3, 1, 8), (2, 2, 5), (2, 2, 6), (2, 2, 7), (5, 1, 5),
                 (5, 1, 6)]
+
+# (p, e, n) -> |V cap W| over F_{q^n}, as the pair sweep counts it
+COUNT_TOWERS = {(2, 1, 6): 12, (2, 1, 7): 0, (2, 1, 8): 12, (3, 1, 4): 72,
+                (3, 1, 6): 72, (3, 1, 7): 0, (2, 2, 4): 240, (2, 2, 6): 240,
+                (5, 1, 4): 600, (5, 1, 5): 0}
 
 
 # ----------------------------------------------------------------------------
@@ -120,13 +125,33 @@ def v_closed(tower, x: int, y: int) -> int:
 # reference engine: every pair (x, y), one Q-long row of H and of W per x
 # ----------------------------------------------------------------------------
 
+class CurveRows:
+    """The rows (x^q - x^{q^j}) v + (y^{q^j} - y^q) u over all packed y, for
+    j in {2, 3}: W(1, x, .) for j = 2 and H(1, x, .) for j = 3."""
+
+    def __init__(self, tower):
+        t = self.tower = tower
+        ids = np.arange(t.order, dtype=np.int64)
+        F1 = _batch.vec_frob_q(t, ids, 1)
+        self.U = _batch.vec_sub(t, F1, ids)                    # u = x^q - x
+        self.A = {j: _batch.vec_sub(t, F1, _batch.vec_frob_q(t, ids, j))
+                  for j in (2, 3)}                             # x^q - x^{q^j}
+        self.C = {j: _batch.vec_neg(t, a) for j, a in self.A.items()}  # y^{q^j} - y^q
+
+    def row(self, x: int, j: int) -> np.ndarray:
+        """The row of the packed value x."""
+        t, a, u = self.tower, np.int64(int(self.A[j][x])), np.int64(int(self.U[x]))
+        return _batch.vec_add(t, _batch.vec_mul(t, a, self.U),
+                              _batch.vec_mul(t, self.C[j], u))
+
+
 def pair_sweep(t):
     """Reference for mrd_via_curve: evaluate H and W on all q^{2n} points in
     canonical (x, y) order and stop at the first point with H = 0 != W."""
     code = SupportCode(t, (0, 1, 3), 1)
     Q = t.order
     perm = t.elements_array()          # canonical position -> packed value
-    rows = curves._CurveRows(t)
+    rows = CurveRows(t)
     for xpos in range(Q):
         x = int(perm[xpos])
         off_w = (rows.row(x, 3) == 0) & (rows.row(x, 2) != 0)
@@ -146,13 +171,24 @@ def pair_sweep(t):
 def pair_points(t):
     """Reference for _h_minus_w_points: the points with H = 0 != W in packed
     (x, y) order, the first POINT_SAMPLE_LIMIT of them, and their number."""
-    rows = curves._CurveRows(t)
+    rows = CurveRows(t)
     pts, total = [], 0
     for x in range(t.order):
         ys = np.flatnonzero((rows.row(x, 3) == 0) & (rows.row(x, 2) != 0))
         total += int(ys.size)
         pts += [(x, int(y)) for y in ys[:max(0, curves.POINT_SAMPLE_LIMIT - len(pts))]]
     return pts, total
+
+
+def pair_count(t):
+    """Reference for count_V_cap_W: W on all q^{2n} pairs, V by the closed
+    form at the zeros of W."""
+    rows = CurveRows(t)
+    count = 0
+    for x in range(t.order):
+        v = rows.U[rows.row(x, 2) == 0]
+        count += int((curves._v_closed(t, np.full_like(v, rows.U[x]), v) == 0).sum())
+    return count
 
 
 def _untimed(cert):
@@ -220,6 +256,53 @@ def test_rational_intersection_counts():
     assert curves.count_V_cap_W(make_tower(2, 1, 8)) == 12
     assert curves.count_V_cap_W_closure(make_tower(2, 1, 7)) == 12
     assert curves.count_V_cap_W_closure(make_tower(3, 1, 7)) == 72
+
+
+@pytest.mark.parametrize("p,e,n", sorted(COUNT_TOWERS))
+def test_count_V_cap_W_matches_pair_count(p, e, n):
+    t = make_tower(p, e, n)
+    assert curves.count_V_cap_W(t) == pair_count(t) == COUNT_TOWERS[p, e, n]
+
+
+def test_count_V_cap_W_in_small_point_blocks(monkeypatch):
+    # a group of kernels split over many chunks, with a ragged last one
+    monkeypatch.setattr(curves, "POINT_BLOCK", 5)
+    for pen in ((2, 1, 6), (3, 1, 4), (2, 2, 4)):
+        assert curves.count_V_cap_W(make_tower(*pen)) == COUNT_TOWERS[pen]
+
+
+def test_count_V_cap_W_past_the_pair_sweep():
+    # 7^10 > 2^28 pairs; the per-line kernels list 940,849 points of W
+    assert curves.count_V_cap_W(make_tower(7, 1, 5)) == 0
+
+
+def test_vectorised_v_matches_pointwise():
+    # random pairs, then each case of the closed form: v = 0 (y in F_q),
+    # u = 0 (x in F_q) and u/v = 1 (x = y)
+    for pen in ((2, 1, 7), (3, 1, 5), (2, 2, 4), (5, 1, 4)):
+        t = make_tower(*pen)
+        rand = [rng.randrange(t.order) for _ in range(30)]
+        sub = t.subfield_elements
+        pairs = (list(zip(rand, reversed(rand))) + list(zip(rand, sub))
+                 + list(zip(sub, rand)) + [(y, y) for y in rand[:10]])
+
+        def diff(z):
+            return t.sub(t.frobenius_q(z, 1), z)
+
+        u = np.array([diff(x) for x, _ in pairs], dtype=np.int64)
+        v = np.array([diff(y) for _, y in pairs], dtype=np.int64)
+        want = [v_closed(t, x, y) for x, y in pairs]
+        assert curves._v_closed(t, u, v).tolist() == want, pen
+
+
+def test_count_V_cap_W_without_tables(no_tables, capsys):
+    t = make_tower(2, 1, 7)
+    assert t.tables is None
+    with pytest.raises(CapExceeded):
+        curves.count_V_cap_W(t)
+    assert cli.main(["curve-count", "--q", "2", "--n", "7"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "Zech tables" in err
 
 
 def test_closure_count_formula():

@@ -205,6 +205,56 @@ def test_batch_rank_matches_elimination(p, r, c, rnd):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 251)), st.integers(1, 6), st.integers(1, 6),
+       st.randoms(use_true_random=False))
+def test_batch_kernels_against_rref(p, r, c, rnd):
+    # one batch: the zero matrix, a full-rank one (unit pivots on a diagonal,
+    # random above, rows and columns shuffled), products X @ Y of every
+    # inner dimension below min(r, c), and uniform draws
+    def draw(rows, cols):
+        return np.array([rnd.randrange(p) for _ in range(rows * cols)],
+                        dtype=np.int64).reshape(rows, cols)
+
+    full = np.triu(draw(r, c), 1) + np.eye(r, c, dtype=np.int64)
+    full = full[rnd.sample(range(r), r)][:, rnd.sample(range(c), c)]
+    mats = [np.zeros((r, c), dtype=np.int64), full]
+    mats += [draw(r, k) @ draw(k, c) % p for k in range(1, min(r, c))]
+    mats += [draw(r, c) for _ in range(3)]
+    mats = np.array(mats)
+    ranks, kernels = _batch.batch_kernels(mats, p)
+    assert kernels.shape == (len(mats), c, c)
+    for m, rk, basis in zip(mats, ranks.tolist(), kernels):
+        assert rk == len(rref_modp(m, p)[1])
+        assert not basis[c - rk:].any()
+        basis = basis[:c - rk]
+        assert not (m @ basis.T % p).any()
+        assert len(rref_modp(basis, p)[1]) == c - rk
+        assert basis.tolist() == [v.tolist() for v in nullspace_modp(m, p)]
+    assert ranks[1] == min(r, c) and ranks[0] == 0
+
+
+def test_stacked_ranks_top_block():
+    # the top rows' pivot count in one elimination of [top; bottom] is the
+    # rank of top alone; low inner dimensions make both blocks deficient
+    gen = np.random.default_rng(0x5AC)
+
+    def draw(B, rows, cols, p):
+        width = max(rows, cols)
+        inner = gen.integers(0, min(rows, cols) + 1, size=(B, 1, 1))
+        X = gen.integers(0, p, size=(B, rows, width))
+        Y = gen.integers(0, p, size=(B, width, cols))
+        return np.where(np.arange(width) < inner, X, 0) @ Y % p
+
+    for p in (2, 3, 5, 7):
+        for r1, r2, c in ((3, 3, 3), (4, 2, 5), (2, 5, 4), (6, 6, 6), (7, 7, 7)):
+            top, bottom = draw(200, r1, c, p), draw(200, r2, c, p)
+            rank_top, rank_both = _batch.stacked_ranks(top, bottom, p)
+            assert rank_top.tolist() == _batch.batch_rank(top.copy(), p).tolist()
+            both = np.concatenate([top, bottom], axis=1)
+            assert rank_both.tolist() == _batch.batch_rank(both, p).tolist()
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.sampled_from((2, 3, 5, 7, 251)), st.integers(1, 5), st.integers(1, 5),
        st.integers(0, 5), st.booleans(), st.randoms(use_true_random=False))
 def test_modp_eliminator_against_definitions(p, r, c, inner, consistent, rnd):
