@@ -12,6 +12,7 @@ coordinates c_i = (m // p^(d-1-i)) % p.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -19,10 +20,13 @@ import numpy as np
 from .fields import solve_modp
 
 
+@functools.lru_cache(maxsize=None)
 def inverse_table(p: int) -> np.ndarray:
+    """inv[a] = a^{-1} mod p (inv[0] = 0); built once per p, read-only."""
     inv = np.zeros(p, dtype=np.int64)
     for a in range(1, p):
         inv[a] = pow(a, p - 2, p)
+    inv.setflags(write=False)
     return inv
 
 

@@ -1,4 +1,7 @@
-"""Exact Gaussian elimination over a FieldTower.
+"""Exact Gaussian elimination over F_{q^n}, for matrices whose entries lie in
+F_{q^n}: the Moore determinant, the Moore nullspace and the q-circulant rank.
+F_q-linear algebra (codes, idealisers, duals, F_q-ranks) runs on F_p
+coordinates through fields.rref_modp instead.
 
 Matrices are lists of row lists of packed field elements.  Pivoting is
 deterministic: the first row (top to bottom) with a nonzero entry in the
@@ -79,12 +82,3 @@ def nullspace(tower, rows, ncols):
         basis.append(v)
     return basis
 
-
-def in_row_space(tower, rref, pivots, v):
-    """Membership of v in the span of an rref basis."""
-    v = list(v)
-    for i, c in enumerate(pivots):
-        if v[c] != 0:
-            f = v[c]
-            v = [tower.sub(a, tower.mul(f, b)) for a, b in zip(v, rref[i])]
-    return all(x == 0 for x in v)

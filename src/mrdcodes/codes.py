@@ -2,9 +2,11 @@
 
 Two shapes: SupportCode spans monomials X^(sigma^t) over F_{q^n} for a
 support set T and twist sigma = q^s; GeneralCode is an arbitrary F_q-span of
-polynomials.  Codes live as F_q-row-spaces of n^2-long coordinate vectors
-(q-coordinates taken per coefficient slot), and dual/idealiser computations
-are exact F_q Gaussian elimination on those vectors.
+polynomials.  A GeneralCode lives as the F_p row space of n*d-long
+coefficient vectors (d power-basis coordinates per coefficient slot), closed
+under F_q through FieldTower.fq_span_rows, and membership, duals and
+idealisers are F_p elimination on those vectors by fields.rref_modp; the
+scalar eliminator over F_{q^n} (_linalg) is not used here.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _batch, _linalg
-from .fields import CapExceeded, FieldTower
-from .linpoly import LinPoly
+from . import _batch
+from .fields import CapExceeded, FieldTower, nullspace_modp, rref_modp
+from .linpoly import LinPoly, fq_independent
 
 GENERAL_SCAN_CAP = 1 << 26     # codeword cap for general-code distance scans
 SUPPORT_SCAN_CAP = 1 << 28     # representative cap for support-code sweeps
@@ -144,16 +146,19 @@ class SupportCode:
 
 
 class GeneralCode:
-    """An F_q-subspace of linearized polynomials given by an independent basis."""
+    """An F_q-subspace of linearized polynomials given by an independent basis.
+
+    It is held as the F_p row space of the n*d-long coefficient vectors of
+    {u*f : u in fq_basis_fp, f in the basis}, in reduced echelon form."""
 
     def __init__(self, tower: FieldTower, basis):
         self.tower = tower
         self.basis = tuple(basis)   # empty basis = the zero code
-        rows = [self._vec(f) for f in self.basis]
-        rref, pivots = _linalg.row_reduce(tower, rows, tower.n * tower.n)
-        if len(pivots) != len(self.basis):
+        rows = tower.fq_span_rows(self._vecs(self.basis))
+        rref, pivots = rref_modp(rows, tower.p)
+        if len(pivots) != tower.e * len(self.basis):
             raise ValueError("basis polynomials are F_q-dependent")
-        self._rref = rref
+        self._rref = rref[:len(pivots)]
         self._pivots = pivots
 
     @property
@@ -161,49 +166,45 @@ class GeneralCode:
         """Dimension over F_q (the code has q^dim elements)."""
         return len(self.basis)
 
-    def _vec(self, f: LinPoly) -> list[int]:
-        """n^2-long vector of embedded F_q coordinates, slot-major."""
+    def _vecs(self, polys) -> np.ndarray:
+        """(len(polys), n*d) F_p coefficient vectors, slot-major."""
         t = self.tower
-        out = []
-        for c in f.coeffs:
-            out.extend(t.q_coords(c))
-        return out
+        return np.array([[c for a in f.coeffs for c in t.coords(a)] for f in polys],
+                        dtype=np.int64).reshape(-1, t.n * t.degree)
 
-    def _poly(self, v) -> LinPoly:
-        t, n = self.tower, self.tower.n
-        return LinPoly(t, (t.from_q_coords(v[i * n:(i + 1) * n]) for i in range(n)))
+    def _polys(self, vecs) -> list[LinPoly]:
+        """An F_q-basis, as polynomials, of the F_q-closed F_p-span of the
+        coefficient vectors `vecs`."""
+        t, d = self.tower, self.tower.degree
+        return [LinPoly(t, (t.element(vecs[i][s * d:(s + 1) * d].tolist())
+                            for s in range(t.n)))
+                for i in fq_independent(t, vecs)]
 
     def contains(self, f: LinPoly) -> bool:
+        """f reduces to zero against the echelon rows."""
         if f.tower is not self.tower:
             raise ValueError("tower mismatch")
-        return _linalg.in_row_space(self.tower, self._rref, self._pivots, self._vec(f))
+        v = self._vecs([f])[0]
+        return not ((v - v[self._pivots] @ self._rref) % self.tower.p).any()
 
-    def parity_rows(self) -> list[list[int]]:
-        """Basis of the orthogonal complement under the standard dot product;
-        v is in the code iff it is orthogonal to all parity rows."""
-        n2 = self.tower.n ** 2
-        return _linalg.nullspace(self.tower, self._rref, n2)
+    def parity_rows(self) -> np.ndarray:
+        """F_p-basis of the complement under the standard dot product of the
+        coefficient vectors: v is in the code iff parity_rows() @ v = 0."""
+        t = self.tower
+        return np.array(nullspace_modp(self._rref, t.p),
+                        dtype=np.int64).reshape(-1, t.n * t.degree)
 
     def delsarte_dual(self) -> "GeneralCode":
-        """Orthogonal complement under b(f, g) = Tr(sum a_i b_i)."""
-        t, n = self.tower, self.tower.n
-        qb = t.q_basis
-        gram = [[t.rel_trace(t.mul(qb[r], qb[s])) for s in range(n)] for r in range(n)]
-        rows = []
-        for f in self.basis:
-            v = self._vec(f)
-            row = []
-            for slot in range(n):
-                blk = v[slot * n:(slot + 1) * n]
-                for s in range(n):
-                    acc = 0
-                    for r in range(n):
-                        if blk[r]:
-                            acc = t.add(acc, t.mul(blk[r], gram[r][s]))
-                    row.append(acc)
-            rows.append(row)
-        basis = [self._poly(v) for v in _linalg.nullspace(t, rows, n * n)]
-        return GeneralCode(t, basis)
+        """Orthogonal complement under b(f, g) = Tr_{q^n/q}(sum a_i b_i).  For
+        an F_q-subspace it is the F_p-complement under the absolute trace
+        Tr_{q^n/p}, whose Gram matrix on the power basis is `gram`."""
+        t, p = self.tower, self.tower.p
+        g = t.generator
+        absolute = sum(t.frob_p_matrix(i) for i in range(t.degree)) % p
+        gram = np.stack([absolute[0] @ t.mult_matrix(t.pow(g, a)) % p
+                         for a in range(t.degree)])
+        form = self._rref @ np.kron(np.eye(t.n, dtype=np.int64), gram) % p
+        return GeneralCode(t, self._polys(nullspace_modp(form, p)))
 
     def adjoint_code(self) -> "GeneralCode":
         return GeneralCode(self.tower, [f.adjoint() for f in self.basis])
@@ -211,73 +212,58 @@ class GeneralCode:
     # ---- idealisers ----------------------------------------------------------
 
     def idealiser(self, side: str) -> IdealiserReport:
-        """Solve the F_q-linear membership system over the n^2 coefficient
-        coordinates of the unknown map, then test field-ness by exhausting the
-        solution space (all nonzero elements invertible + closure on basis
-        pairs)."""
+        """The left idealiser {phi : phi o f in C for all f in C} or the right
+        one {phi : f o phi in C for all f in C} (the convention of Lunardon,
+        Trombetti and Zhou).  Its F_p-coefficient vectors a are the solutions
+        of parity @ M_f @ a = 0 for every basis f, M_f the matrix of
+        a -> phi_a o f (left) or a -> f o phi_a (right); then field-ness is
+        tested on an F_q-basis of the solutions."""
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         t, n = self.tower, self.tower.n
-        units = [LinPoly.monomial(t, b, m) for m in range(n) for b in t.q_basis]
         parity = self.parity_rows()
-        if not parity:
+        if not len(parity):
             # the full ring: everything is a solution
             return IdealiserReport(side, n * n, n == 1, n == 1)
-        constraints = []
-        for f in self.basis:
-            cols = []
-            for u in units:
-                h = f.compose(u) if side == "left" else u.compose(f)
-                cols.append(self._vec(h))
-            for prow in parity:
-                crow = []
-                for uidx in range(n * n):
-                    acc = 0
-                    col = cols[uidx]
-                    for v in range(n * n):
-                        if prow[v] and col[v]:
-                            acc = t.add(acc, t.mul(prow[v], col[v]))
-                    crow.append(acc)
-                constraints.append(crow)
-        sol = _linalg.nullspace(t, constraints, n * n)
+        constraints = np.array([parity @ self._compose_matrix(f, side) % t.p
+                                for f in self.basis]).reshape(-1, parity.shape[1])
+        sol = self._polys(nullspace_modp(constraints, t.p))
         dim = len(sol)
-        sol_polys = [self._poly(v) for v in sol]
-        is_field = self._solution_space_is_field(sol_polys) if 0 < dim <= n else False
+        is_field = self._solution_space_is_field(sol) if 0 < dim <= n else False
         return IdealiserReport(side, dim, is_field, is_field and dim == n)
 
+    def _compose_matrix(self, f: LinPoly, side: str) -> np.ndarray:
+        """(n*d x n*d) F_p matrix of a -> phi_a o f (left) or a -> f o phi_a
+        (right), phi_a the polynomial with coefficient vector a.  Block (k, i)
+        is Mult(f_{k-i}^{q^i}) on the left, Mult(f_{k-i}) Frob_q^{k-i} on the
+        right."""
+        t, n, d = self.tower, self.tower.n, self.tower.degree
+        M = np.zeros((n * d, n * d), dtype=np.int64)
+        for k in range(n):
+            for i in range(n):
+                c = f.coeffs[(k - i) % n]
+                if not c:
+                    continue
+                if side == "left":
+                    blk = t.mult_matrix(t.frobenius_q(c, i))
+                else:
+                    blk = t.mult_matrix(c) @ t.frob_q_matrix(k - i) % t.p
+                M[k * d:(k + 1) * d, i * d:(i + 1) * d] = blk
+        return M
+
     def _solution_space_is_field(self, basis_polys) -> bool:
-        t, n = self.tower, self.tower.n
-        m = len(basis_polys)
-        # closure under composition on a spanning set of pairs
-        rows = [self._vec(f) for f in basis_polys]
-        rref, pivots = _linalg.row_reduce(t, rows, n * n)
-        for a in basis_polys:
-            for b in basis_polys:
-                if not _linalg.in_row_space(t, rref, pivots, self._vec(a.compose(b))):
-                    return False
-        # every nonzero element invertible: basis elements via the q-circulant,
-        # the full space via the batched F_p rank engine
-        for f in basis_polys:
-            if f.rank() != n:
-                return False
-        if t.q ** m > FIELDNESS_CAP:
-            raise CapExceeded("solution space too large to exhaust for field-ness")
-        span = _batch.SpanBlockMatrix(t, basis_polys)
-        q, e, d = t.q, t.e, t.degree
-        total = q ** m
-        start = 1  # skip the zero combination
-        while start < total:
-            count = min(1 << 16, total - start)
-            idx = np.arange(start, start + count, dtype=np.int64)
-            coords = np.zeros((count, m * e), dtype=np.int64)
-            for w in range(m):
-                sub = (idx // q ** (m - 1 - w)) % q
-                coords[:, w * e:(w + 1) * e] = _batch.element_coord_columns(sub, t.p, e)
-            ranks = _batch.batch_rank(span.matrices(coords), t.p)
-            if int(ranks.min()) != d:
-                return False
-            start += count
-        return True
+        """Closure under composition on basis pairs, then every nonzero
+        element invertible: the basis elements by the q-circulant rank, the
+        whole span by its minimum distance (CapExceeded past FIELDNESS_CAP
+        elements)."""
+        n = self.tower.n
+        span = GeneralCode(self.tower, basis_polys)
+        if not all(span.contains(a.compose(b))
+                   for a in basis_polys for b in basis_polys):
+            return False
+        if any(f.rank() != n for f in basis_polys):
+            return False
+        return span.min_distance(FIELDNESS_CAP) == n
 
     # ---- distance -------------------------------------------------------------
 

@@ -537,6 +537,21 @@ class FieldTower:
         """An F_p-basis (u_0..u_{e-1}) of the embedded F_q."""
         return self._qcoord_machinery[0]
 
+    def fq_span_rows(self, vecs) -> np.ndarray:
+        """The F_p rows u*v, u in fq_basis_fp, of the vectors v in `vecs`
+        (shape (m, b*d): b blocks of d power-basis coordinates, each block
+        multiplied by u); row i*e + j is u_j*v_i.  They span the F_q-span of
+        the vectors, whose F_q-rank is therefore their F_p-rank over e."""
+        key = "fqmults"
+        if key not in self._lazy:
+            # row-vector form: coords(u*x) = coords(x) @ Mult(u)^T
+            self._lazy[key] = np.stack([self.mult_matrix(u).T
+                                        for u in self.fq_basis_fp])
+        v = np.asarray(vecs, dtype=np.int64)
+        m, width = v.shape
+        blocks = v.reshape(m, 1, width // self.degree, self.degree)
+        return (blocks @ self._lazy[key] % self.p).reshape(m * self.e, width)
+
     def q_coords(self, x: int) -> tuple:
         """Coordinates of x over F_q in the power basis, as embedded F_q elements."""
         bas, Binv = self._qcoord_machinery

@@ -12,19 +12,18 @@ from __future__ import annotations
 import numpy as np
 
 from . import _batch, _linalg
-from .fields import CapExceeded, FieldTower, nullspace_modp
+from .fields import CapExceeded, FieldTower, nullspace_modp, rref_modp
 
 
-def fq_independent(tower, elems) -> list[int]:
-    """The elements of `elems`, in order, that raise the F_q-rank of those
-    kept before them (elimination on their q-coordinates)."""
-    kept, rows = [], []
-    for x in elems:
-        v = list(tower.q_coords(x))
-        if _linalg.rank(tower, rows + [v], tower.n) > len(rows):
-            rows.append(v)
-            kept.append(x)
-    return kept
+def fq_independent(tower, vecs) -> list[int]:
+    """Indices, in order, of the F_p vectors in `vecs` (d-long coordinate
+    blocks) that raise the F_q-rank of those before them.  Vector i does
+    exactly when one of its e columns in the transpose of
+    tower.fq_span_rows(vecs) is a pivot column."""
+    if not len(vecs):
+        return []
+    pivots = rref_modp(tower.fq_span_rows(vecs).T, tower.p)[1]
+    return sorted({c // tower.e for c in pivots})
 
 
 class LinPoly:
@@ -178,7 +177,7 @@ class LinPoly:
         """An F_q-basis of the kernel, as field elements (deterministic)."""
         t = self.tower
         vecs = nullspace_modp(self.map_matrix_fp(), t.p)
-        return fq_independent(t, [t.element([int(v) for v in vec]) for vec in vecs])
+        return [t.element(vecs[i].tolist()) for i in fq_independent(t, vecs)]
 
     def roots(self) -> set[int]:
         """Brute-force root set {x : f(x) = 0}; oracle only, enumerates the field."""

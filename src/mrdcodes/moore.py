@@ -15,7 +15,7 @@ import math
 import time
 
 from . import _linalg
-from .fields import FieldTower
+from .fields import FieldTower, rref_modp
 from .linpoly import LinPoly
 
 
@@ -61,9 +61,13 @@ def moore_product_formula(tower: FieldTower, A) -> int:
 
 
 def fq_rank(tower: FieldTower, elems) -> int:
-    """Rank over F_q of a set of field elements (q-coordinate elimination)."""
-    rows = [list(tower.q_coords(a)) for a in elems]
-    return _linalg.rank(tower, rows, tower.n)
+    """Rank over F_q of a set of field elements: the F_p-rank of their
+    F_q-span rows over e."""
+    elems = list(elems)
+    if not elems:
+        return 0
+    rows = tower.fq_span_rows([tower.coords(a) for a in elems])
+    return len(rref_modp(rows, tower.p)[1]) // tower.e
 
 
 def independence_criterion(tower: FieldTower, A, s: int = 1) -> bool:
@@ -101,7 +105,6 @@ def mrd_by_moore(code, budget: int = 1 << 24):
         for lam in t.subfield_elements:
             if lam:
                 seen.add(t.mul(lam, x))
-    qc = {x: list(t.q_coords(x)) for x in reps}
 
     checked = 0
     for examined, A in enumerate(itertools.combinations(reps, k)):
@@ -110,8 +113,7 @@ def mrd_by_moore(code, budget: int = 1 << 24):
                                method="moore", witness=None, scanned=checked,
                                tower=t.descriptor(),
                                elapsed_ms=_ms(started))
-        rows = [qc[a] for a in A]
-        if len(_linalg.row_reduce(t, rows, t.n)[1]) != k:
+        if fq_rank(t, A) != k:
             continue
         checked += 1
         d = moore_det(t, A, T, 1)

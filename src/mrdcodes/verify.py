@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _batch
-from .fields import CapExceeded, TABLE_CAP, make_tower, nullspace_modp, solve_modp
+from .fields import (CapExceeded, TABLE_CAP, make_tower, nullspace_modp, rref_modp,
+                     solve_modp)
 from .linpoly import LinPoly, fq_independent
 from .codes import SupportCode, adjoint_support, dual_support
 
@@ -314,20 +315,13 @@ def trinomial_criterion(tower, workers: int = 1) -> Certificate:
 
 
 def _trace_rows(tower) -> np.ndarray:
-    """e x d matrix over F_p sending coords(x) to the subfield-basis
-    coordinates of the relative trace of x."""
-    d, e, p = tower.degree, tower.e, tower.p
-    bas = tower.fq_basis_fp
-    # column j = coordinates of Tr(g^j) against the F_p-basis of F_q
-    B = np.zeros((d, e), dtype=np.int64)
-    for j, u in enumerate(bas):
-        B[:, j] = tower.coords(u)
-    out = np.zeros((e, d), dtype=np.int64)
-    for j in range(d):
-        tr = tower.rel_trace(tower.pow(tower.generator, j))
-        sol = solve_modp(B, tower.coords(tr), p)
-        out[:, j] = sol
-    return out
+    """e x d matrix over F_p with the row space of the relative trace's
+    matrix sum_i Frob_q^i: the nonzero rows of its RREF (the trace maps onto
+    the e-dimensional F_q, so there are e of them)."""
+    n, p = tower.n, tower.p
+    trace = sum(tower.frob_q_matrix(i) for i in range(n)) % p
+    rref, pivots = rref_modp(trace, p)
+    return rref[:len(pivots)]
 
 
 def _trace_zero_kernel_pair(tower, t_elem):
@@ -338,9 +332,8 @@ def _trace_zero_kernel_pair(tower, t_elem):
     # intersection via the stacked F_p kernel when needed
     if len(cand) < 2:
         stacked = np.concatenate([f.map_matrix_fp(), _trace_rows(tower)], axis=0)
-        elems = [tower.element([int(v) for v in vec])
-                 for vec in nullspace_modp(stacked, tower.p)]
-        cand = fq_independent(tower, elems)
+        vecs = nullspace_modp(stacked, tower.p)
+        cand = [tower.element(vecs[i].tolist()) for i in fq_independent(tower, vecs)]
     if len(cand) < 2:
         raise RuntimeError("expected a 2-dimensional trace-zero kernel")
     return cand[0], cand[1]

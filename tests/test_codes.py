@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -195,3 +196,118 @@ def test_code_json_roundtrip():
     g = c.to_general()
     g2 = code_from_json(t, g.descriptor())
     assert g2.equals(g)
+
+
+# ---- brute-force oracles for general codes ------------------------------------
+
+def fq_span(t, basis):
+    """Every element of the F_q-span of `basis`, listed."""
+    S = {LinPoly.zero(t)}
+    for f in basis:
+        S = {g + f.scale(lam) for g in S for lam in t.subfield_elements}
+    return S
+
+
+def all_maps(t):
+    """All q^{n^2} F_q-linear maps of F_{q^n}, as polynomials."""
+    return [LinPoly(t, c) for c in itertools.product(t.enumerate_field(), repeat=t.n)]
+
+
+def random_poly(t):
+    return LinPoly(t, [rng.randrange(t.order) for _ in range(t.n)])
+
+
+def random_basis(t, dim):
+    """An F_q-independent basis of `dim` random polynomials and its span."""
+    basis, S = [], {LinPoly.zero(t)}
+    while len(basis) < dim:
+        f = random_poly(t)
+        if f not in S:
+            basis.append(f)
+            S = fq_span(t, basis)
+    return basis, S
+
+
+def brute_idealiser(maps, basis, S, side):
+    """I_L = {phi : phi o f in C for all f in C}, I_R = {phi : f o phi in C}."""
+    if side == "left":
+        return [phi for phi in maps if all(phi.compose(f) in S for f in basis)]
+    return [phi for phi in maps if all(f.compose(phi) in S for f in basis)]
+
+
+def check_idealisers(t, maps, basis, S):
+    code = GeneralCode(t, basis)
+    for side in ("left", "right"):
+        ideal = brute_idealiser(maps, basis, S, side)
+        rep = code.idealiser(side)
+        assert t.q ** rep.fq_dimension == len(ideal), (side, basis)
+        # a finite ring without zero divisors is a field; invertible = one root
+        field = len(ideal) <= t.q ** t.n and \
+            all(len(phi.roots()) == 1 for phi in ideal if not phi.is_zero())
+        assert rep.is_field == field, (side, basis)
+        assert rep.is_max == (field and rep.fq_dimension == t.n)
+
+
+ORACLE_TOWERS = [(2, 1, 3), (3, 1, 2), (2, 2, 2), (2, 3, 2), (5, 1, 2)]
+
+
+@pytest.mark.parametrize("pen", ORACLE_TOWERS)
+def test_general_code_against_brute_force(pen):
+    t = make_tower(*pen)
+    maps = all_maps(t)
+    n2 = t.n * t.n
+    dims = [0] + sorted(rng.sample(range(1, n2), 3))
+    for dim in dims:
+        basis, S = random_basis(t, dim)
+        check_idealisers(t, maps, basis, S)
+        # Delsarte dual: the Tr_{q^n/q}-orthogonal complement
+        perp = {g for g in maps
+                if all(t.rel_trace(_dot(t, f, g)) == 0 for f in basis)}
+        dual = GeneralCode(t, basis).delsarte_dual()
+        assert dual.dim == n2 - dim
+        assert fq_span(t, dual.basis) == perp
+
+
+def _dot(t, f, g):
+    acc = 0
+    for a, b in zip(f.coeffs, g.coeffs):
+        acc = t.add(acc, t.mul(a, b))
+    return acc
+
+
+def test_idealiser_sides_are_not_swapped():
+    # a code whose two idealisers differ pins which side is which
+    t = make_tower(2, 1, 3)
+    maps = all_maps(t)
+    for _ in range(200):
+        basis, S = random_basis(t, 5)
+        left = len(brute_idealiser(maps, basis, S, "left"))
+        right = len(brute_idealiser(maps, basis, S, "right"))
+        if left != right:
+            break
+    else:
+        pytest.fail("no random code with unequal idealisers")
+    code = GeneralCode(t, basis)
+    assert 2 ** code.idealiser("left").fq_dimension == left
+    assert 2 ** code.idealiser("right").fq_dimension == right
+
+
+def random_invertible(t):
+    while True:
+        f = random_poly(t)
+        if f.rank() == t.n:
+            return f
+
+
+@pytest.mark.parametrize("pen,T", [((3, 1, 7), (0, 1, 3)), ((2, 2, 5), (0, 1, 3))])
+def test_conjugated_support_code_keeps_idealisers(pen, T):
+    # I_L(phi C psi) = phi I_L(C) phi^-1 and I_R(phi C psi) = psi^-1 I_R(C) psi
+    t = make_tower(*pen)
+    support = SupportCode(t, T, 1)
+    phi, psi = random_invertible(t), random_invertible(t)
+    conj = GeneralCode(t, [phi.compose(f).compose(psi)
+                           for f in support.to_general().basis])
+    assert not all(sum(1 for c in f.coeffs if c) == 1 for f in conj.basis)
+    for side in ("left", "right"):
+        assert conj.idealiser(side) == support.idealiser(side)
+        assert conj.idealiser(side).is_max

@@ -345,3 +345,37 @@ def test_fq_basis_fp_pinned():
               (3, 2, 5): (44013, 1), (2, 4, 3): (512, 64, 8, 1)}
     for pen, want in pinned.items():
         assert make_tower(*pen).fq_basis_fp == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251, 65537])
+def test_inverse_table_cached_and_read_only(p):
+    inv = _batch.inverse_table(p)
+    assert _batch.inverse_table(p) is inv
+    assert not inv.flags.writeable
+    with pytest.raises(ValueError):
+        inv[1] = 0
+    a = np.arange(1, p, dtype=np.int64)
+    assert inv[0] == 0 and (a * inv[1:] % p == 1).all()
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 5), (3, 1, 4), (2, 2, 3), (2, 3, 2), (3, 2, 2)])
+def test_fq_span_rows_against_q_coords(pen):
+    # rows are u_j * (each block) for u_j in fq_basis_fp; the F_p-rank over e
+    # is the F_q-rank of the q-coordinate vectors, eliminated over F_{q^n}
+    t = make_tower(*pen)
+    for _ in range(10):
+        m, b = rng.randrange(1, 5), rng.randrange(1, 3)
+        xs = [[t.element_at(rng.randrange(t.order)) for _ in range(b)]
+              for _ in range(m)]
+        if rng.random() < 0.5:   # an F_q-combination of the first two
+            lam = t.subfield_elements[rng.randrange(t.q)]
+            xs.append([t.add(x, t.mul(lam, y)) for x, y in zip(xs[0], xs[-1])])
+        rows = t.fq_span_rows([sum((t.coords(x) for x in v), []) for v in xs])
+        assert rows.shape == (len(xs) * t.e, b * t.degree)
+        for i, v in enumerate(xs):
+            for j, u in enumerate(t.fq_basis_fp):
+                assert rows[i * t.e + j].tolist() == \
+                    sum((t.coords(t.mul(u, x)) for x in v), [])
+        qrows = [sum((list(t.q_coords(x)) for x in v), []) for v in xs]
+        fq_rank = _linalg.rank(t, qrows, b * t.n)
+        assert len(rref_modp(rows, t.p)[1]) == t.e * fq_rank

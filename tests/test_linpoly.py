@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from mrdcodes import _linalg
 from mrdcodes.fields import make_tower
-from mrdcodes.linpoly import LinPoly
+from mrdcodes.linpoly import LinPoly, fq_independent
 
 rng = random.Random(0x11B)
 
@@ -139,6 +140,25 @@ def test_kernel_fq_basis():
     f = LinPoly.from_support(t, [1, 0], [1, t.neg(1)])   # x^q - x
     basis = f.kernel_fq_basis()
     assert len(basis) == 1 and all(f.eval(b) == 0 for b in basis)
+
+
+@pytest.mark.parametrize("pen", [(2, 2, 3), (3, 2, 2), (2, 3, 2), (3, 1, 4)])
+def test_fq_independent_is_greedy_on_q_coords(pen):
+    # oracle: keep an element when it raises the F_q-rank of the
+    # q-coordinate vectors kept so far, eliminated over F_{q^n}
+    t = make_tower(*pen)
+    assert fq_independent(t, []) == []
+    for _ in range(10):
+        xs = [rng.randrange(t.order) for _ in range(rng.randrange(1, t.n + 2))]
+        lam = t.subfield_elements[rng.randrange(t.q)]
+        xs.insert(rng.randrange(1, len(xs) + 1), t.mul(lam, xs[0]))
+        kept, rows = [], []
+        for i, x in enumerate(xs):
+            v = list(t.q_coords(x))
+            if _linalg.rank(t, rows + [v], t.n) > len(rows):
+                rows.append(v)
+                kept.append(i)
+        assert fq_independent(t, [t.coords(x) for x in xs]) == kept
 
 
 def test_json_roundtrip_and_sparse_form():
