@@ -200,6 +200,8 @@ class GeneralCode:
         Tr_{q^n/p}, whose Gram matrix on the power basis is `gram`."""
         t, p = self.tower, self.tower.p
         g = t.generator
+        # Tr_{q^n/p} lands in F_p, the first power-basis coordinate, so row 0
+        # of its matrix is the functional x -> Tr(x)
         absolute = sum(t.frob_p_matrix(i) for i in range(t.degree)) % p
         gram = np.stack([absolute[0] @ t.mult_matrix(t.pow(g, a)) % p
                          for a in range(t.degree)])

@@ -248,6 +248,14 @@ def check_idealisers(t, maps, basis, S):
         assert rep.is_max == (field and rep.fq_dimension == t.n)
 
 
+def dot(t, f, g):
+    """sum_i f_i g_i in F_{q^n}."""
+    acc = 0
+    for a, b in zip(f.coeffs, g.coeffs):
+        acc = t.add(acc, t.mul(a, b))
+    return acc
+
+
 ORACLE_TOWERS = [(2, 1, 3), (3, 1, 2), (2, 2, 2), (2, 3, 2), (5, 1, 2)]
 
 
@@ -262,17 +270,10 @@ def test_general_code_against_brute_force(pen):
         check_idealisers(t, maps, basis, S)
         # Delsarte dual: the Tr_{q^n/q}-orthogonal complement
         perp = {g for g in maps
-                if all(t.rel_trace(_dot(t, f, g)) == 0 for f in basis)}
+                if all(t.rel_trace(dot(t, f, g)) == 0 for f in basis)}
         dual = GeneralCode(t, basis).delsarte_dual()
         assert dual.dim == n2 - dim
         assert fq_span(t, dual.basis) == perp
-
-
-def _dot(t, f, g):
-    acc = 0
-    for a, b in zip(f.coeffs, g.coeffs):
-        acc = t.add(acc, t.mul(a, b))
-    return acc
 
 
 def test_idealiser_sides_are_not_swapped():
