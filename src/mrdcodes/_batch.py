@@ -117,21 +117,23 @@ def element_coord_columns(idx: np.ndarray, p: int, d: int) -> np.ndarray:
 
 class SupportBlockMatrix:
     """Precomputed L with rows (i*d + j) = flatten(Mult(g^j) @ Frob(u_i)) for a
-    support-code with q-exponents u_0 < ... < u_{k-1}."""
+    support-code with q-exponents u_0 < ... < u_{k-1}; Mult(g^j) is the j-th
+    power of the companion matrix Mult(g)."""
 
     def __init__(self, tower, q_exponents):
         self.tower = tower
         self.exps = tuple(q_exponents)
-        d = tower.degree
+        d, p = tower.degree, tower.p
         k = len(self.exps)
+        C = tower.mult_matrix(tower.generator)
+        powers = [np.eye(d, dtype=np.int64)]
+        for _ in range(d - 1):
+            powers.append(C @ powers[-1] % p)
         L = np.zeros((k * d, d * d), dtype=np.int64)
-        g = tower.generator
         for i, u in enumerate(self.exps):
             F = tower.frob_q_matrix(u)
-            b = 1
-            for j in range(d):
-                L[i * d + j] = (tower.mult_matrix(b) @ F % tower.p).reshape(-1)
-                b = tower.mul(b, g)
+            for j, M in enumerate(powers):
+                L[i * d + j] = (M @ F % p).reshape(-1)
         self.L = L
         self.k = k
         self.d = d

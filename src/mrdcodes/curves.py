@@ -13,10 +13,12 @@ q-polynomials -a_j y + (a_j - u) y^q + u y^{q^j}, codewords of the supports
 {0,1,3} and {0,1,2}.  So the line through x holds a point of H off W exactly
 when rank [M_H; M_W] > rank M_H for their d x d matrices over F_p, and the
 MRD engine and the point count take both ranks from one elimination of
-[M_H; M_W] per x instead of evaluating all q^{2n} pairs.  In the same way
-the points of W on the line through x are ker M_W(x): the intersection
-count lists them kernel by kernel and evaluates V at each through the
-closed form
+[M_H; M_W] per x instead of evaluating all q^{2n} pairs.  The maps see x
+only through u and a_j, which x -> x + c leaves unchanged for c in F_q, so
+the MRD engine ranks one x per coset x + F_q, its canonical minimum.  In
+the same way the points of W on the line through x are ker M_W(x): the
+intersection count lists them kernel by kernel and evaluates V at each
+through the closed form
 
     v = 0            ->  u^{q^2-q}
     u/v in F_q       ->  v^{q^2-q}
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _batch
-from .fields import CapExceeded, make_tower, nullspace_modp, span_modp
+from .fields import CapExceeded, make_tower, nullspace_modp, rref_modp, span_modp
 from .codes import SupportCode
 
 POINT_SAMPLE_LIMIT = 200
@@ -192,19 +194,33 @@ def _line_maps(tower, idx, j):
     return _support_block(t.p, t.e, t.n, (0, 1, j)).matrices(coeffs)
 
 
-def _x_blocks(tower):
-    """Canonical indices of every x in order, in blocks that start at 16
-    and double up to X_BLOCK, so an early point costs little."""
+def _x_blocks(tower, per_coset: bool = False):
+    """Canonical indices of every x in increasing order, in blocks that
+    start at 16 and double up to X_BLOCK, so an early point costs little.
+    With per_coset, only the minimum of each coset x + F_q: the member with
+    zero digits at the pivot columns of F_q's reduced echelon F_p-basis (the
+    rows behind `fq_basis_fp`), since adding the basis rows can clear those
+    digits and any other member is larger at its first nonzero pivot digit.
+    Those minima are listed by spreading a counter over the free columns."""
+    t, p, d = tower, tower.p, tower.degree
+    total, weights = t.order, None
+    if per_coset:
+        pivots = rref_modp([t.coords(u) for u in t.fq_basis_fp], p)[1]
+        free = np.array(sorted(set(range(d)) - set(pivots)), dtype=np.int64)
+        total, weights = t.order // t.q, p ** (d - 1 - free)
     start, size = 0, 16
-    while start < tower.order:
-        yield np.arange(start, min(start + size, tower.order), dtype=np.int64)
+    while start < total:
+        idx = np.arange(start, min(start + size, total), dtype=np.int64)
+        if weights is not None:
+            idx = _batch.element_coord_columns(idx, p, len(weights)) @ weights
+        yield idx
         start, size = start + size, min(2 * size, X_BLOCK)
 
 
-def _line_ranks(tower):
-    """(idx, rank M_H, rank [M_H; M_W]) over every x in canonical order, by
-    one elimination of [M_H; M_W] per block of x."""
-    for idx in _x_blocks(tower):
+def _line_ranks(tower, per_coset: bool = False):
+    """(idx, rank M_H, rank [M_H; M_W]) over the x of `_x_blocks`, by one
+    elimination of [M_H; M_W] per block of x."""
+    for idx in _x_blocks(tower, per_coset):
         mh, mw = (_line_maps(tower, idx, j) for j in (3, 2))
         yield (idx, *_batch.stacked_ranks(mh, mw, tower.p))
 
@@ -225,13 +241,19 @@ def mrd_via_curve(tower):
     smallest canonical index in ker M_H minus ker M_W, give the first such
     point in canonical (x, y) order; `scanned` is its position plus one
     (q^{2n} for MRD).  The point yields a witness codeword through the Moore
-    nullspace on A = (1, x, y)."""
+    nullspace on A = (1, x, y).
+
+    M_H and M_W depend on x only through u = x^q - x and a_j = x^q - x^{q^j},
+    which x -> x + c leaves unchanged for c in F_q, so one x per coset
+    x + F_q is ranked: its canonical minimum.  The first bad x of the full
+    sweep is the minimum of its coset, so the sweep over the q^n / q minima
+    stops at the same x."""
     from .moore import _codeword_killing
     from .verify import Certificate, VERDICT_MRD, VERDICT_NOT_MRD, _ms
     t0 = time.perf_counter()
     t = tower
     code = SupportCode(t, (0, 1, 3), 1)
-    for idx, rank_h, rank_hw in _line_ranks(t):
+    for idx, rank_h, rank_hw in _line_ranks(t, per_coset=True):
         bad = np.flatnonzero(rank_hw > rank_h)
         if bad.size:
             xpos = int(idx[bad[0]])

@@ -22,7 +22,6 @@ lexicographic order with the constant term compared first.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -621,11 +620,17 @@ class FieldTower:
 # exact mod-p linear algebra: one Gauss-Jordan and its uses
 # ----------------------------------------------------------------------------
 
+def _residue_dtype(p):
+    """int64 while the product of two residues fits it, Python ints (object
+    dtype) for larger p, so that elimination is exact for every prime."""
+    return np.int64 if (p - 1) ** 2 < 1 << 63 else object
+
+
 def rref_modp(mat, p):
     """Reduced row echelon form of mat over F_p and its pivot columns.
     Deterministic: each column's pivot is the first row at or below the
     current one with a nonzero entry."""
-    m = np.array(mat, dtype=np.int64) % p
+    m = np.array(mat, dtype=_residue_dtype(p)) % p
     rows, cols = m.shape
     pivots = []
     for c in range(cols):
@@ -647,10 +652,22 @@ def rref_modp(mat, p):
 
 def span_modp(basis, p):
     """All p^k F_p-combinations of the k basis vectors, as rows; row m has
-    the coefficients of m's base-p digits, most significant first."""
-    combos = np.array(list(itertools.product(range(p), repeat=len(basis))),
-                      dtype=np.int64)
-    return combos @ np.array(basis, dtype=np.int64) % p
+    the coefficients of m's base-p digits, most significant first.  Built
+    by an outer sum per basis vector, the last one first, in the smallest
+    unsigned dtype that holds the sum of two residues."""
+    basis = np.asarray(basis, dtype=np.int64)
+    out = np.zeros((1, basis.shape[1]), dtype=np.min_scalar_type(2 * (p - 1)))
+    for row in basis[::-1]:
+        multiples = (np.arange(p)[:, None] * row % p).astype(out.dtype)
+        out = subtract_p_once(multiples[:, None, :] + out, p).reshape(-1, basis.shape[1])
+    return out
+
+
+def subtract_p_once(a, p):
+    """Entries below 2p of an unsigned array reduced mod p, in place and
+    without a division: a - p wraps around above every entry below p, so
+    the minimum subtracts p exactly where a >= p."""
+    return np.minimum(a, a - a.dtype.type(p), out=a)
 
 
 def nullspace_modp(mat, p):
@@ -660,7 +677,7 @@ def nullspace_modp(mat, p):
     cols = m.shape[1]
     basis = []
     for fc in sorted(set(range(cols)) - set(pivots)):
-        v = np.zeros(cols, dtype=np.int64)
+        v = np.zeros(cols, dtype=m.dtype)
         v[fc] = 1
         for r, c in enumerate(pivots):
             v[c] = (-m[r, fc]) % p
@@ -670,12 +687,14 @@ def nullspace_modp(mat, p):
 
 def solve_modp(A, b, p):
     """One solution of A x = b over F_p, or None when there is none."""
-    A = np.asarray(A, dtype=np.int64)
+    dtype = _residue_dtype(p)
+    A = np.asarray(A, dtype=dtype)
     cols = A.shape[1]
-    m, pivots = rref_modp(np.concatenate([A, np.reshape(b, (-1, 1))], axis=1), p)
+    m, pivots = rref_modp(np.concatenate([A, np.reshape(np.asarray(b, dtype=dtype),
+                                                        (-1, 1))], axis=1), p)
     if cols in pivots:
         return None
-    x = np.zeros(cols, dtype=np.int64)
+    x = np.zeros(cols, dtype=m.dtype)
     for r, c in enumerate(pivots):
         x[c] = m[r, cols]
     return x
@@ -684,7 +703,9 @@ def solve_modp(A, b, p):
 def inverse_modp(mat, p):
     """Inverse of a square matrix over F_p; ValueError when it is singular."""
     d = len(mat)
-    m, pivots = rref_modp(np.concatenate([mat, np.eye(d, dtype=np.int64)], axis=1), p)
+    dtype = _residue_dtype(p)
+    m, pivots = rref_modp(np.concatenate([np.asarray(mat, dtype=dtype),
+                                          np.eye(d, dtype=dtype)], axis=1), p)
     if pivots[:d] != list(range(d)):
         raise ValueError("matrix is singular mod p")
     return m[:, d:]

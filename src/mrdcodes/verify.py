@@ -13,7 +13,10 @@ dimension at most k-1 over F_q.  The engines here decide that by:
     in dimension at most 1.  Each nonzero Z is a root of the one trinomial
     with t(Z) = -(Z^{q^2} + Z^q)/Z, so a histogram of t(Z) over the nonzero
     trace-zero Z, taken through the Zech tables, decides every t at once: a
-    bin with q^2 - 1 or more hits is a 2-dimensional kernel meet;
+    bin with q^2 - 1 or more hits is a 2-dimensional kernel meet.  The
+    hyperplane is enumerated by additions only: the digits of Z and of its
+    numerator are F_p-linear in Z, so each block is one precomputed block
+    of low combinations plus one combination of the high basis rows;
   * n9_witness -- for n = 9 and supports {0,s,2s,4s}, an explicit rank-5
     codeword built from a cubic-subfield constant with prescribed relative
     trace and norm;
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import _batch
 from .fields import (CapExceeded, TABLE_CAP, make_tower, nullspace_modp, rref_modp,
-                     solve_modp)
+                     solve_modp, span_modp, subtract_p_once)
 from .linpoly import LinPoly, fq_independent
 from .codes import SupportCode, adjoint_support, dual_support
 
@@ -267,36 +270,21 @@ def trinomial_criterion(tower, workers: int = 1) -> Certificate:
 
     Every nonzero Z is a root of exactly one of these trinomials, the one with
     t(Z) = -(Z^{q^2} + Z^q)/Z, so the bin of t in the histogram of t(Z) over
-    the nonzero trace-zero Z holds q^m - 1 hits, m the dimension of that
-    kernel meet.  The bad t are the bins with at least q^2 - 1 hits.
-    `scanned` counts the values of t decided in canonical order: q^n for MRD,
-    the first bad canonical index plus one otherwise.  Needs the Zech tables
-    (CapExceeded without them).  `workers` has no effect."""
+    the nonzero trace-zero Z (`_t_histogram`) holds q^m - 1 hits, m the
+    dimension of that kernel meet.  The bad t are the bins with at least
+    q^2 - 1 hits.  `scanned` counts the values of t decided in canonical
+    order: q^n for MRD, the first bad canonical index plus one otherwise.
+    Needs the Zech tables (CapExceeded without them).  `workers` has no
+    effect."""
     t0 = time.perf_counter()
     tw = tower
     if tw.n < 5:
         raise ValueError("the {0,1,3} support needs n >= 5")
     if tw.tables is None:
         raise CapExceeded("the t(Z) histogram needs the Zech tables")
-    exp, log = tw.tables
     code = SupportCode(tw, (0, 1, 3), 1)
-    d, p, q, Q = tw.degree, tw.p, tw.q, tw.order
-    base = (tw.frob_q_matrix(2) + tw.frob_q_matrix(1)) % p  # Z -> Z^{q^2} + Z^q
-    hyper = np.array(nullspace_modp(_trace_rows(tw), p))    # trace-zero F_p-basis
-    packing = p ** np.arange(d, dtype=np.int64)
-    log_minus_one = 0 if p == 2 else (Q - 1) // 2
-    total = p ** len(hyper)
-    t_of_z = []
-    for start in range(1, total, BATCH):   # combination 0 is Z = 0
-        idx = np.arange(start, min(start + BATCH, total), dtype=np.int64)
-        zc = _batch.element_coord_columns(idx, p, len(hyper)) @ hyper % p
-        z = zc @ packing
-        w = (zc @ base.T % p) @ packing
-        tz = exp[(log[w] - log[z] + log_minus_one) % (Q - 1)]
-        tz[w == 0] = 0
-        t_of_z.append(tz)
-    counts = np.bincount(np.concatenate(t_of_z), minlength=Q)
-    bad = np.flatnonzero(counts >= q * q - 1)
+    q, Q = tw.q, tw.order
+    bad = np.flatnonzero(_t_histogram(tw) >= q * q - 1)
     if bad.size == 0:
         return Certificate(code.descriptor(), VERDICT_MRD, "trinomial", None,
                            Q, tw.descriptor(), _ms(t0))
@@ -312,6 +300,44 @@ def trinomial_criterion(tower, workers: int = 1) -> Certificate:
                "codeword": f.to_json(), "kernel_dim": kd}
     return Certificate(code.descriptor(), VERDICT_NOT_MRD, "trinomial", witness,
                        first + 1, tw.descriptor(), _ms(t0))
+
+
+def _t_histogram(tower) -> np.ndarray:
+    """Hits of each packed t in t(Z) = -(Z^{q^2} + Z^q)/Z over the nonzero
+    trace-zero Z (t = 0 where the numerator is 0), by the Zech tables.
+
+    Z and -(Z^{q^2} + Z^q) are both F_p-linear in the digits of Z over an
+    F_p-basis of the hyperplane, so each combination of the basis rows
+    carries the digits of both.  The combinations of the low rows, at most
+    BATCH of them, are built once; every block is that low block plus one
+    combination of the high rows, so it costs additions only.  The blocks
+    come in canonical order, though the histogram does not depend on it."""
+    exp, log = tower.tables
+    d, p, Q = tower.degree, tower.p, tower.order
+    neg_base = -(tower.frob_q_matrix(2) + tower.frob_q_matrix(1)) % p
+    hyper = np.array(nullspace_modp(_trace_rows(tower), p))   # trace-zero F_p-basis
+    rows = np.concatenate([hyper, hyper @ neg_base.T % p], axis=1)
+    low = 0
+    while low < len(rows) and p ** (low + 1) <= BATCH:
+        low += 1
+    split = len(rows) - low
+    low_block = np.ascontiguousarray(span_modp(rows[split:], p).T)   # digit-major
+    t_of_z = []
+    for i, high in enumerate(span_modp(rows[:split], p)):
+        block = low_block[:, 1:] if i == 0 else low_block   # combination 0 is Z = 0
+        digits = subtract_p_once(block + high[:, None], p).reshape(2, d, -1)
+        packed = digits[:, d - 1].astype(np.min_scalar_type(Q - 1))
+        for j in range(d - 2, -1, -1):    # Horner's rule, Z and numerator at once
+            packed *= p
+            packed += digits[:, j]
+        z, w = packed
+        idx = log[w]
+        idx -= log[z]
+        idx += Q - 1                      # within the doubled exp table
+        tz = exp[idx]
+        tz[w == 0] = 0
+        t_of_z.append(tz)
+    return np.bincount(np.concatenate(t_of_z), minlength=Q)
 
 
 def _trace_rows(tower) -> np.ndarray:

@@ -365,6 +365,30 @@ def test_mrd_via_curve_matches_pair_sweep(p, e, n):
     assert _untimed(curves.mrd_via_curve(t)) == _untimed(pair_sweep(t))
 
 
+@pytest.mark.parametrize("p,e,n", [(2, 1, 7), (2, 2, 5), (3, 2, 3), (2, 3, 3)])
+def test_coset_sweep_lists_each_coset_minimum(p, e, n):
+    t = make_tower(p, e, n)
+    xs = np.concatenate(list(curves._x_blocks(t, per_coset=True))).tolist()
+    minima = {min(t.canonical_index(t.add(t.element_at(m), c))
+                  for c in t.subfield_elements) for m in range(t.order)}
+    assert xs == sorted(minima)
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 7), (3, 1, 5), (2, 2, 5), (3, 2, 5)])
+def test_line_ranks_constant_on_cosets(p, e, n):
+    # M_H and M_W see x only through x^q - x and x^q - x^{q^j}
+    t = make_tower(p, e, n)
+    draw = random.Random(0xC05E7)
+    for _ in range(6):
+        x = t.element_at(draw.randrange(t.order))
+        idx = np.array([t.canonical_index(t.add(x, c)) for c in t.subfield_elements])
+        mh, mw = (curves._line_maps(t, idx, j) for j in (3, 2))
+        ranks = [_batch.batch_rank(np.array(m), p)
+                 for m in (mh, mw, np.concatenate([mh, mw], axis=1))]
+        for r in ranks:
+            assert (r == r[0]).all(), t.element_to_json(x)
+
+
 def test_mrd_via_curve_past_the_pair_sweep():
     # q^{2n} = 2.8e8 pairs; the per-line kernels need 16,807 small ranks
     t = make_tower(7, 1, 5)

@@ -298,6 +298,21 @@ def test_trinomial_matches_rank_sweep(q, n):
         _untimed(rank_sweep_criterion(t))
 
 
+@pytest.mark.parametrize("q,n", [(4, 7), (7, 5)])
+def test_trinomial_in_small_blocks(monkeypatch, q, n):
+    # a small BATCH splits the hyperplane into many high blocks (one per
+    # combination of the high rows, down to an empty first block at BATCH = 1)
+    t = make_tower(*PE[q], n)
+    want = _untimed(rank_sweep_criterion(t))
+    hist = verify._t_histogram(t)
+    assert hist.sum() == q ** (n - 1) - 1
+    for batch in (1, q, 50):
+        monkeypatch.setattr(verify, "BATCH", batch)
+        small = verify._t_histogram(t)
+        assert small.sum() == q ** (n - 1) - 1 and (small == hist).all(), batch
+        assert _untimed(verify.trinomial_criterion(t)) == want, batch
+
+
 @pytest.mark.parametrize("q,n,verdict,scanned", [
     (4, 8, "MRD", 65536), (7, 7, "MRD", 823543), (5, 7, "MRD", 78125),
     (4, 7, "NOT_MRD", 648), (3, 9, "NOT_MRD", 1547), (5, 8, "NOT_MRD", 8841),
