@@ -4,7 +4,10 @@ Codewords of a support code are F_p-linear in their coefficient coordinates,
 so a whole batch of codeword matrices is one integer matmul: for coefficient
 coordinate rows A (batch x k*d) and the precomputed block matrix L
 (k*d x d*d), the batch of d x d map matrices is (A @ L) % p.  Ranks are then
-taken by masked Gauss-Jordan vectorized over the batch dimension.
+taken by masked Gauss-Jordan vectorized over the batch dimension.  At p = 2
+the batch dimension is packed into bits, eight matrices to a byte, and
+elimination is AND, OR and XOR on the packed rows (bit slicing, as in M4RI);
+it follows the same pivot rule and leaves the same reduced batch.
 
 Element order everywhere is the canonical one from fields: element #m has
 coordinates c_i = (m // p^(d-1-i)) % p.
@@ -17,7 +20,9 @@ import math
 
 import numpy as np
 
-from .fields import solve_modp
+from .fields import _residue_dtype, solve_modp
+
+INVERSE_TABLE_MAX = 1 << 20   # largest p whose inverses come from a table
 
 
 @functools.lru_cache(maxsize=None)
@@ -30,29 +35,51 @@ def inverse_table(p: int) -> np.ndarray:
     return inv
 
 
+def inverses(a: np.ndarray, p: int) -> np.ndarray:
+    """a^{-1} mod p entrywise (0 -> 0) for residues a, in a's dtype: read
+    from inverse_table(p) up to INVERSE_TABLE_MAX, by pow(a, p - 2, p) per
+    entry past it, where a table would not fit in memory."""
+    if p <= INVERSE_TABLE_MAX:
+        return inverse_table(p)[a].astype(a.dtype)
+    return np.array([pow(int(x), p - 2, p) for x in a.flat],
+                    dtype=a.dtype).reshape(a.shape)
+
+
 def work_dtype(p: int):
     """The dtype batch_rank eliminates in: products of two entries below p
-    must fit it."""
-    return np.int32 if (p - 1) ** 2 < 1 << 31 else np.int64
+    must fit it, so int32, then int64, then Python ints (object) once
+    (p-1)^2 >= 2^63, the rule of fields.rref_modp."""
+    return np.int32 if (p - 1) ** 2 < 1 << 31 else _residue_dtype(p)
 
 
 def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks over F_p of a batch of matrices, shape (B, r, c).  Destroys input.
+    """Ranks over F_p of a batch of matrices of residues, shape (B, r, c).
+    Destroys input.
 
     Gauss-Jordan vectorized over the batch: per column, each matrix picks its
     first unused row with a nonzero entry, normalizes it, and clears the
     column from every other row.  Matrices without a pivot in the column are
-    masked out of the update.
+    masked out of the update.  At p = 2 the same elimination runs on the
+    batch packed into bits (_gf2_gauss_jordan); every odd p takes the
+    generic loop (_gauss_jordan).
 
-    A C-contiguous input of dtype work_dtype(p) is reduced in place.  Pivot
-    rows are left unnormalized; in the reduced batch every used row has its
-    first nonzero entry at its pivot column, that column is zero in every
-    other row, and the unused rows are zero.
+    A C-contiguous input of dtype work_dtype(p) is reduced in place, on both
+    paths to the same batch.  Pivot rows are left unnormalized; in the
+    reduced batch every used row has its first nonzero entry at its pivot
+    column, that column is zero in every other row, and the unused rows are
+    zero.
     """
     m = np.ascontiguousarray(mats, dtype=work_dtype(p))
+    if p == 2:
+        return _gf2_gauss_jordan(m)
+    return _gauss_jordan(m, p)
+
+
+def _gauss_jordan(m: np.ndarray, p: int) -> np.ndarray:
+    """batch_rank's elimination for any p, in place on m of dtype
+    work_dtype(p)."""
     B, r, c = m.shape
     used = np.zeros((B, r), dtype=bool)
-    inv = inverse_table(p).astype(m.dtype)
     bindex = np.arange(B)
     tmp = np.empty_like(m)
     for col in range(c):
@@ -62,7 +89,7 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
             continue
         sel = cand.argmax(axis=1)
         rows = np.take_along_axis(m, sel[:, None, None], axis=1)[:, 0, :]
-        rows = rows * inv[rows[:, col]][:, None] % p
+        rows = rows * inverses(rows[:, col], p)[:, None] % p
         factors = np.where(has[:, None], m[:, :, col], 0)
         factors[bindex, sel] = 0
         np.multiply(factors[:, :, None], rows[:, None, :], out=tmp)
@@ -70,6 +97,31 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
         m %= p
         used[bindex, sel] |= has
     return used.sum(axis=1)
+
+
+def _gf2_gauss_jordan(m: np.ndarray) -> np.ndarray:
+    """batch_rank's elimination at p = 2, in place on m.
+
+    Bit b of byte w of bits[i, j] is entry (i, j) of matrix 8w + b, and
+    used[i] holds the same bit for "row i is a pivot row".  Per column a
+    matrix's candidate rows are its unused rows with a 1 there; the first
+    one (no candidate above it: a prefix OR) is its pivot row, gathered by
+    an OR over the rows, and XORed into every other row with a 1 in the
+    column.  A matrix without a candidate gathers a zero pivot row.
+    """
+    B, r, c = m.shape
+    bits = np.packbits(np.ascontiguousarray(m.transpose(1, 2, 0), dtype=np.uint8),
+                       axis=2)                                 # (r, c, ceil(B/8))
+    used = np.zeros((r, bits.shape[2]), dtype=np.uint8)
+    for col in range(c):
+        cand = bits[:, col] & ~used
+        sel = cand.copy()
+        sel[1:] &= ~np.bitwise_or.accumulate(cand[:-1], axis=0)
+        pivot = np.bitwise_or.reduce(bits & sel[:, None, :], axis=0)
+        bits ^= (bits[:, col] & ~sel)[:, None, :] & pivot
+        used |= sel
+    m[...] = np.unpackbits(bits, axis=2, count=B).transpose(2, 0, 1)
+    return np.unpackbits(used, axis=1, count=B).sum(axis=0, dtype=np.int64)
 
 
 def stacked_ranks(top: np.ndarray, bottom: np.ndarray, p: int):
@@ -98,7 +150,7 @@ def batch_kernels(mats: np.ndarray, p: int):
     nz = m != 0
     lead = nz.argmax(axis=2)                                   # (B, r)
     pivot = (lead[:, :, None] == np.arange(c)) & nz.any(axis=2)[:, :, None]
-    scale = inverse_table(p)[np.take_along_axis(m, lead[:, :, None], axis=2)[:, :, 0]]
+    scale = inverses(np.take_along_axis(m, lead[:, :, None], axis=2)[:, :, 0], p)
     normed = m * scale[:, :, None] % p                         # pivots 1, unused rows 0
     # row fc: e_fc - sum_i normed[i, fc] e_{pivot column of i}; pivot rows vanish
     full = (np.eye(c, dtype=np.int64)

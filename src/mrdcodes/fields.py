@@ -33,18 +33,35 @@ class CapExceeded(RuntimeError):
     """An enumeration or search exceeded its configured cap."""
 
 
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MR_EXACT_BELOW = 318665857834031151167461   # no strong pseudoprime to all MR_BASES below it
+
+
 def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin over the first twelve prime bases, exact
+    below MR_EXACT_BELOW (about 3.2e23, past every p a tower accepts); an m
+    at or above it with no factor among the bases raises ValueError."""
     if m < 2:
         return False
-    if m < 4:
+    if m in MR_BASES:
         return True
-    if m % 2 == 0:
+    if any(m % b == 0 for b in MR_BASES):
         return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
+    if m >= MR_EXACT_BELOW:
+        raise ValueError(f"is_prime is exact only below {MR_EXACT_BELOW}")
+    s, t = 0, m - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for b in MR_BASES:
+        x = pow(b, t, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -170,13 +187,13 @@ class FieldTower:
     """
 
     def __init__(self, p: int, e: int, n: int):
-        if not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
         if e < 1 or n < 1:
             raise ValueError("extension degrees must be positive")
         d = e * n
         if p ** d > 1 << 64:
             raise ValueError("field too large for exact packed arithmetic")
+        if not is_prime(p):
+            raise ValueError(f"p={p} is not prime")
         self.p = p
         self.e = e
         self.n = n

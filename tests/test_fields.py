@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mrdcodes import _batch, _linalg
+from mrdcodes import _batch, _linalg, fields
 from mrdcodes.fields import (CapExceeded, factorize, inverse_modp, is_prime,
                              make_tower, nullspace_modp, rref_modp, solve_modp,
                              tower_from_descriptor)
@@ -194,14 +194,56 @@ def test_table_mul_matches_fallback(pen, raw):
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from((2, 3, 46349, 65537)), st.integers(1, 4), st.integers(1, 4),
-       st.randoms(use_true_random=False))
-def test_batch_rank_matches_elimination(p, r, c, rnd):
-    # int32 products of two entries overflow once (p-1)^2 >= 2^31
+       st.sampled_from((0, 1, 7, 8, 9)), st.randoms(use_true_random=False))
+def test_batch_rank_matches_elimination(p, r, c, B, rnd):
+    # int32 products of two entries overflow once (p-1)^2 >= 2^31; at p = 2
+    # batch sizes off a multiple of 8 leave a partly filled byte of bits
     mats = np.array([[[rnd.choice((0, 1, p - 1, rnd.randrange(p)))
-                       for _ in range(c)] for _ in range(r)] for _ in range(8)],
-                    dtype=np.int64)
+                       for _ in range(c)] for _ in range(r)] for _ in range(B)],
+                    dtype=np.int64).reshape(B, r, c)
     want = [_linalg.rank(make_tower(p, 1, 1), m.tolist(), c) for m in mats]
     assert _batch.batch_rank(mats.copy(), p).tolist() == want
+
+
+def _generic_batch_rank(mats, p):
+    """batch_rank through the generic loop whatever p is."""
+    m = np.ascontiguousarray(mats, dtype=_batch.work_dtype(p))
+    return _batch._gauss_jordan(m, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 64), st.integers(1, 64),
+       st.sampled_from((0, 1, 7, 9, 64, 65)), st.integers(0, 2 ** 32 - 1))
+@example(64, 64, 64, 65, 1)
+@example(5, 64, 64, 9, 2)
+@example(64, 3, 7, 7, 3)
+def test_gf2_elimination_matches_generic(r1, r2, c, B, seed):
+    # top (r1 x c, r1 != c mostly) and the stacked [top; bottom] of
+    # stacked_ranks (r1 + r2 rows, often more than c), c up to the largest
+    # degree a p = 2 tower accepts; per matrix a random inner dimension and
+    # density, so pivots fall late and rows run out
+    gen = np.random.default_rng(seed)
+
+    def draw(rows):
+        width = max(rows, c)
+        inner = gen.integers(0, min(rows, c) + 1, size=(B, 1, 1))
+        density = gen.random((B, 1, 1))
+        X = (gen.random((B, rows, width)) < density) & (np.arange(width) < inner)
+        Y = gen.integers(0, 2, size=(B, width, c))
+        return X.astype(np.int64) @ Y % 2
+
+    top, bottom = draw(r1), draw(r2)
+    for mats in (top, np.concatenate([top, bottom], axis=1)):
+        fast, slow = mats.astype(np.int32), mats.astype(np.int32)
+        assert _batch.batch_rank(fast, 2).tolist() == _batch._gauss_jordan(slow, 2).tolist()
+        assert np.array_equal(fast, slow)
+    got = _batch.stacked_ranks(top, bottom, 2), _batch.batch_kernels(top, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_batch, "batch_rank", _generic_batch_rank)
+        want = _batch.stacked_ranks(top, bottom, 2), _batch.batch_kernels(top, 2)
+    for a, b in zip(got, want):
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 @settings(max_examples=60, deadline=None)
@@ -352,6 +394,50 @@ def test_eliminator_exact_past_int64_products():
         b = [rnd.randrange(p) for _ in range(3)]
         x = [int(v) for v in solve_modp(A, b, p)]
         assert [sum(A[i][k] * x[k] for k in range(3)) % p for i in range(3)] == b
+
+
+@pytest.mark.parametrize("p", [2147483647, 4294967291, 4294967311])
+def test_batch_rank_past_the_inverse_table(p):
+    # inverse_table(p) asked for 32 GiB at p = 4294967291; past 3.04e9 the
+    # products need Python ints, as in rref_modp.  The reduced batch holds
+    # rref's nonzero rows, unnormalized and in pivot-row order.
+    rnd = random.Random(p)
+    mats = []
+    for inner in (0, 1, 2, 3, 3):
+        X = [[rnd.randrange(p) for _ in range(inner)] for _ in range(3)]
+        Y = [[rnd.choice((1, p - 1, rnd.randrange(p))) for _ in range(3)]
+             for _ in range(inner)]
+        mats.append([[sum(X[i][k] * Y[k][j] for k in range(inner)) % p
+                      for j in range(3)] for i in range(3)])
+    m = np.array(mats, dtype=_batch.work_dtype(p))
+    ranks = _batch.batch_rank(m, p)
+    for a, red, rk in zip(mats, m, ranks.tolist()):
+        want, pivots = rref_modp(a, p)
+        assert rk == len(pivots)
+        rows = sorted((int(np.flatnonzero(row)[0]), [int(v) * pow(int(row[row != 0][0]), p - 2, p) % p
+                                                    for v in row])
+                      for row in red if row.any())
+        assert [row for _, row in rows] == [[int(v) for v in w] for w in want[:rk]]
+    ranks, kernels = _batch.batch_kernels(np.array(mats, dtype=object), p)
+    for a, basis, rk in zip(mats, kernels, ranks.tolist()):
+        assert [[int(v) for v in b] for b in basis[:3 - rk]] == \
+            [[int(v) for v in b] for b in nullspace_modp(a, p)]
+
+
+def test_is_prime_miller_rabin():
+    sieve = np.ones(10 ** 5, dtype=bool)
+    sieve[:2] = False
+    for f in range(2, 317):
+        sieve[f * f::f] = False
+    assert [m for m in range(10 ** 5) if is_prime(m)] == np.flatnonzero(sieve).tolist()
+    # the largest prime below 2^64 (trial division ran past 120 s), its
+    # composite neighbours, and strong pseudoprimes to the first 4 and 9 bases
+    assert is_prime(2 ** 64 - 59) and is_prime(4294967311)
+    assert not any(is_prime(m) for m in (2 ** 64 - 57, 2 ** 64 - 1, 3215031751,
+                                         3825123056546413051, 4294967297))
+    assert make_tower(2 ** 64 - 59, 1, 1).order == 2 ** 64 - 59
+    with pytest.raises(ValueError):
+        is_prime(fields.MR_EXACT_BELOW)
 
 
 def test_fq_basis_fp_pinned():
