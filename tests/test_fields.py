@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mrdcodes import _batch, _linalg, fields
-from mrdcodes.fields import (CapExceeded, factorize, inverse_modp, is_prime,
-                             make_tower, nullspace_modp, rref_modp, solve_modp,
-                             tower_from_descriptor)
+from mrdcodes import _batch, _linalg
+from mrdcodes.fields import (MR_EXACT_BELOW, CapExceeded, factorize, inverse_modp,
+                             is_prime, make_tower, nullspace_modp, rref_modp,
+                             solve_modp, tower_from_descriptor)
 
 rng = random.Random(0xF1E1D5)
 
@@ -400,7 +400,7 @@ def test_eliminator_exact_past_int64_products():
 def test_batch_rank_past_the_inverse_table(p):
     # inverse_table(p) asked for 32 GiB at p = 4294967291; past 3.04e9 the
     # products need Python ints, as in rref_modp.  The reduced batch holds
-    # rref's nonzero rows, unnormalized and in pivot-row order.
+    # rref's nonzero rows, unnormalized and each in its pivot row's place.
     rnd = random.Random(p)
     mats = []
     for inner in (0, 1, 2, 3, 3):
@@ -414,10 +414,9 @@ def test_batch_rank_past_the_inverse_table(p):
     for a, red, rk in zip(mats, m, ranks.tolist()):
         want, pivots = rref_modp(a, p)
         assert rk == len(pivots)
-        rows = sorted((int(np.flatnonzero(row)[0]), [int(v) * pow(int(row[row != 0][0]), p - 2, p) % p
-                                                    for v in row])
-                      for row in red if row.any())
-        assert [row for _, row in rows] == [[int(v) for v in w] for w in want[:rk]]
+        normed = [[int(v) * pow(int(row[row != 0][0]), p - 2, p) % p for v in row]
+                  for row in red if row.any()]
+        assert sorted(normed) == sorted([int(v) for v in w] for w in want[:rk])
     ranks, kernels = _batch.batch_kernels(np.array(mats, dtype=object), p)
     for a, basis, rk in zip(mats, kernels, ranks.tolist()):
         assert [[int(v) for v in b] for b in basis[:3 - rk]] == \
@@ -437,7 +436,7 @@ def test_is_prime_miller_rabin():
                                          3825123056546413051, 4294967297))
     assert make_tower(2 ** 64 - 59, 1, 1).order == 2 ** 64 - 59
     with pytest.raises(ValueError):
-        is_prime(fields.MR_EXACT_BELOW)
+        is_prime(MR_EXACT_BELOW)
 
 
 def test_fq_basis_fp_pinned():
