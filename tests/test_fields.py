@@ -430,7 +430,7 @@ def test_is_prime_miller_rabin():
         sieve[f * f::f] = False
     assert [m for m in range(10 ** 5) if is_prime(m)] == np.flatnonzero(sieve).tolist()
     # the largest prime below 2^64 (trial division ran past 120 s), its
-    # composite neighbours, and strong pseudoprimes to the first 4 and 9 bases
+    # composite neighbours, and strong pseudoprimes to the first 4 and 11 bases
     assert is_prime(2 ** 64 - 59) and is_prime(4294967311)
     assert not any(is_prime(m) for m in (2 ** 64 - 57, 2 ** 64 - 1, 3215031751,
                                          3825123056546413051, 4294967297))
