@@ -3,11 +3,14 @@
 Codewords of a support code are F_p-linear in their coefficient coordinates,
 so a whole batch of codeword matrices is one integer matmul: for coefficient
 coordinate rows A (batch x k*d) and the precomputed block matrix L
-(k*d x d*d), the batch of d x d map matrices is (A @ L) % p.  Ranks are then
-taken by masked Gauss-Jordan vectorized over the batch dimension.  At p = 2
-the batch dimension is packed into bits, eight matrices to a byte, and
-elimination is AND, OR and XOR on the packed rows (bit slicing, as in M4RI);
-it follows the same pivot rule and leaves the same reduced batch.
+(k*d x d*d), the batch of d x d map matrices is (A @ L) % p.  A general
+code's maps come from the same L on the full support {0, ..., n-1}
+(codes.GeneralCode.min_distance), so SupportBlockMatrix is the one block
+matrix.  Ranks are then taken by masked Gauss-Jordan vectorized over the
+batch dimension.  At p = 2 the batch dimension is packed into bits, eight
+matrices to a byte, and elimination is AND, OR and XOR on the packed rows
+(bit slicing, as in M4RI); it follows the same pivot rule and leaves the
+same reduced batch.
 
 Element order everywhere is the canonical one from fields: element #m has
 coordinates c_i = (m // p^(d-1-i)) % p.
@@ -20,7 +23,7 @@ import math
 
 import numpy as np
 
-from .fields import _residue_dtype, solve_modp
+from .fields import _residue_dtype
 
 INVERSE_TABLE_MAX = 1 << 20   # largest p whose inverses come from a table
 
@@ -197,30 +200,6 @@ class SupportBlockMatrix:
         return flat.reshape(-1, self.d, self.d)
 
 
-class SpanBlockMatrix:
-    """Same idea for F_q-combinations of arbitrary basis polynomials:
-    rows (i*e + j) = flatten(Mult(u_j) @ Mat(poly_i))."""
-
-    def __init__(self, tower, polys):
-        self.tower = tower
-        d, e = tower.degree, tower.e
-        k = len(polys)
-        L = np.zeros((k * e, d * d), dtype=np.int64)
-        fq_basis = tower.fq_basis_fp
-        for i, f in enumerate(polys):
-            M = f.map_matrix_fp()
-            for j in range(e):
-                L[i * e + j] = (tower.mult_matrix(fq_basis[j]) @ M % tower.p).reshape(-1)
-        self.L = L
-        self.k = k
-        self.d = d
-        self.e = e
-
-    def matrices(self, scalar_coords: np.ndarray) -> np.ndarray:
-        flat = scalar_coords @ self.L % self.tower.p
-        return flat.reshape(-1, self.d, self.d)
-
-
 class OrbitSweep:
     """Canonical projective representatives of a support code's codewords.
 
@@ -364,42 +343,6 @@ def rep_to_coefficients(tower, k, lead, tail_index):
         sub = (tail_index // Q ** (ntails - 1 - w)) % Q
         coeffs[lead + 1 + w] = tower.element_at(int(sub))
     return tuple(coeffs)
-
-
-def fq_projective_blocks(tower, k, batch_size):
-    """Projective representatives over F_q of F_q^k (for general-code scans)."""
-    q = tower.q
-    for lead in range(k):
-        total = q ** (k - 1 - lead)
-        start = 0
-        while start < total:
-            count = min(batch_size, total - start)
-            yield lead, start, count
-            start += count
-
-
-def fq_scalar_coords(tower, k, lead, start, count):
-    """Scalar coordinate rows (count, k*e) over F_p for one F_q block.
-
-    F_q element #m is sum of base-p digits of m (reversed, lex order over the
-    digit tuple) against the subfield F_p-basis.
-    """
-    q, p, e = tower.q, tower.p, tower.e
-    out = np.zeros((count, k * e), dtype=np.int64)
-    out[:, lead * e:(lead + 1) * e] = _one_scalar_coords(tower)[None, :]
-    idx = np.arange(start, start + count, dtype=np.int64)
-    ntails = k - 1 - lead
-    for w in range(ntails):
-        pos = lead + 1 + w
-        sub = (idx // q ** (ntails - 1 - w)) % q
-        out[:, pos * e:(pos + 1) * e] = element_coord_columns(sub, p, e)
-    return out
-
-
-def _one_scalar_coords(tower):
-    """Coordinates of the F_q element 1 in the subfield F_p-basis."""
-    B = np.array([tower.coords(u) for u in tower.fq_basis_fp]).T
-    return solve_modp(B, tower.coords(1), tower.p)
 
 
 # ---- vector field ops on packed-int arrays (Zech tables required) ------------

@@ -6,7 +6,9 @@ polynomials.  A GeneralCode lives as the F_p row space of n*d-long
 coefficient vectors (d power-basis coordinates per coefficient slot), closed
 under F_q through FieldTower.fq_span_rows, and membership, duals and
 idealisers are F_p elimination on those vectors by fields.rref_modp; the
-scalar eliminator over F_{q^n} (_linalg) is not used here.
+scalar eliminator over F_{q^n} (_linalg) is not used here.  Whether an
+idealiser is a field is decided by algebra (the q-power map on it), with no
+sweep over its elements and no size cap.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .linpoly import LinPoly, fq_independent
 
 GENERAL_SCAN_CAP = 1 << 26     # codeword cap for general-code distance scans
 SUPPORT_SCAN_CAP = 1 << 28     # representative cap for support-code sweeps
-FIELDNESS_CAP = 1 << 22        # enumeration cap for idealiser field checks
 
 
 def support_exponents(T, n: int) -> tuple:
@@ -231,7 +232,7 @@ class GeneralCode:
                                 for f in self.basis]).reshape(-1, parity.shape[1])
         sol = self._polys(nullspace_modp(constraints, t.p))
         dim = len(sol)
-        is_field = self._solution_space_is_field(sol) if 0 < dim <= n else False
+        is_field = GeneralCode(t, sol)._is_field() if 0 < dim <= n else False
         return IdealiserReport(side, dim, is_field, is_field and dim == n)
 
     def _compose_matrix(self, f: LinPoly, side: str) -> np.ndarray:
@@ -253,36 +254,52 @@ class GeneralCode:
                 M[k * d:(k + 1) * d, i * d:(i + 1) * d] = blk
         return M
 
-    def _solution_space_is_field(self, basis_polys) -> bool:
-        """Closure under composition on basis pairs, then every nonzero
-        element invertible: the basis elements by the q-circulant rank, the
-        whole span by its minimum distance (CapExceeded past FIELDNESS_CAP
-        elements)."""
-        n = self.tower.n
-        span = GeneralCode(self.tower, basis_polys)
-        if not all(span.contains(a.compose(b))
-                   for a in basis_polys for b in basis_polys):
+    def _is_field(self) -> bool:
+        """Whether the code, under composition, is a field whose unit is the
+        identity map.  A finite commutative F_q-algebra with identity is a
+        field exactly when x -> x^q (q-fold composition) is injective on it
+        and fixes only F_q: injective means no nilpotents, so the algebra is
+        a product of fields, each with its own fixed F_q.  Past the identity
+        and closure and commutativity on basis pairs, x -> x^q is F_q-linear,
+        so the images of the m basis maps must have F_q-rank m and their
+        differences from the basis maps F_q-rank m - 1."""
+        t, basis = self.tower, self.basis
+        if not self.contains(LinPoly.identity(t)):
             return False
-        if any(f.rank() != n for f in basis_polys):
-            return False
-        return span.min_distance(FIELDNESS_CAP) == n
+        for i, a in enumerate(basis):
+            for b in basis[i:]:
+                ab = a.compose(b)
+                if ab != b.compose(a) or not self.contains(ab):
+                    return False
+        powers = self._vecs([_compose_power(a, t.q) for a in basis])
+        return (len(fq_independent(t, powers)) == self.dim
+                and len(fq_independent(t, powers - self._vecs(basis))) == self.dim - 1)
 
     # ---- distance -------------------------------------------------------------
 
     def min_distance(self, budget: int = GENERAL_SCAN_CAP) -> int:
-        """Minimum rank over nonzero codewords, scanning the (q^dim-1)/(q-1)
-        projective representatives over F_q."""
-        t = self.tower
-        if self.dim == 0:
+        """Minimum rank over nonzero codewords, one per F_q-line: lead scalar
+        u_0 (the first of fq_basis_fp) and every F_q tail after it.  The
+        maps of u_j*f_i are the rows of one block (fq_span_rows against the
+        full support's SupportBlockMatrix), and a codeword's map is its
+        F_p-coordinates times that block."""
+        t, k, e, p = self.tower, self.dim, self.tower.e, self.tower.p
+        if k == 0:
             raise ValueError("the zero code has no minimum distance")
-        if t.q ** self.dim > budget:
+        if t.q ** k > budget:
             raise CapExceeded("code too large for a general distance scan")
-        span = _batch.SpanBlockMatrix(t, list(self.basis))
+        block = t.fq_span_rows(self._vecs(self.basis)) \
+            @ _batch.SupportBlockMatrix(t, range(t.n)).L % p
         best = t.n
-        for lead, start, count in _batch.fq_projective_blocks(t, self.dim, 1 << 16):
-            coords = _batch.fq_scalar_coords(t, self.dim, lead, start, count)
-            ranks = _batch.batch_rank(span.matrices(coords), t.p)
-            best = min(best, int(ranks.min()) // t.e)
+        for lead in range(k):
+            tails = k - 1 - lead
+            for start in range(0, t.q ** tails, 1 << 16):
+                idx = np.arange(start, min(start + (1 << 16), t.q ** tails))
+                coords = np.zeros((len(idx), k * e), dtype=np.int64)
+                coords[:, lead * e] = 1
+                coords[:, (lead + 1) * e:] = _batch.element_coord_columns(idx, p, tails * e)
+                maps = (coords @ block % p).reshape(-1, t.degree, t.degree)
+                best = min(best, int(_batch.batch_rank(maps, p).min()) // e)
         return best
 
     def descriptor(self) -> dict:
@@ -293,6 +310,16 @@ class GeneralCode:
         if other.tower is not self.tower or other.dim != self.dim:
             return False
         return all(self.contains(f) for f in other.basis)
+
+
+def _compose_power(f: LinPoly, k: int) -> LinPoly:
+    """f composed with itself k times, by square-and-multiply."""
+    out = LinPoly.identity(f.tower)
+    while k:
+        if k & 1:
+            out = out.compose(f)
+        f, k = f.compose(f), k >> 1
+    return out
 
 
 # ---- families -----------------------------------------------------------------

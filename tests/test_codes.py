@@ -5,7 +5,7 @@ import pytest
 
 from mrdcodes.codes import (GeneralCode, SupportCode, code_from_json,
                             gabidulin, named_family)
-from mrdcodes.fields import CapExceeded, make_tower
+from mrdcodes.fields import CapExceeded, make_tower, rref_modp
 from mrdcodes.linpoly import LinPoly
 
 rng = random.Random(0xC0DE5)
@@ -150,6 +150,36 @@ def test_idealiser_of_periodic_support():
     assert rep.fq_dimension == 6 and rep.is_field and rep.is_max
 
 
+def test_idealisers_past_the_old_cap():
+    # q = 8, n = 8: 2^24 elements and no Zech tables, so field-ness must not
+    # rest on listing the idealiser's elements
+    t = make_tower(2, 3, 8)
+    assert t.tables is None
+    for side in ("left", "right"):
+        rep = gabidulin(t, 2).idealiser(side)
+        assert rep.fq_dimension == 8 and rep.is_field and rep.is_max
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stabilizer_closed_form(n):
+    # every support up to shift at q = 2: both idealisers are the monomials
+    # with exponents in the stabiliser D, a field exactly when D is trivial
+    t = make_tower(2, 1, n)
+    seen = set()
+    for k in range(1, n + 1):
+        for T in itertools.combinations(range(n), k):
+            shifts = {tuple(sorted((u + d) % n for u in T)) for d in range(n)}
+            if shifts & seen:
+                continue
+            seen.add(T)
+            code = SupportCode(t, T)
+            D = code.stabilizer()
+            for side in ("left", "right"):
+                rep = code.idealiser(side)
+                assert rep.fq_dimension == len(D) * n, (T, side)
+                assert rep.is_field == (D == (0,)), (T, side)
+
+
 def test_idealiser_side_validation():
     with pytest.raises(ValueError):
         gabidulin(make_tower(2, 1, 4), 2, 1).idealiser("middle")
@@ -179,6 +209,17 @@ def test_min_distance():
     assert named_family("C7", t7).min_distance() == 4    # refuted: below 5
     with pytest.raises(CapExceeded):
         named_family("C7", make_tower(3, 1, 7)).min_distance(budget=10)
+
+
+@pytest.mark.parametrize("pen", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])
+def test_general_min_distance_with_e_above_one(pen):
+    # oracle: the F_p-rank of every nonzero codeword's map, over e
+    t = make_tower(*pen)
+    for dim in (1, 2, 3, 1, 2, 3):
+        basis, S = random_basis(t, dim)
+        best = min(len(rref_modp(f.map_matrix_fp(), t.p)[1]) // t.e
+                   for f in S if not f.is_zero())
+        assert GeneralCode(t, basis).min_distance() == best, basis
 
 
 def test_general_code_rejects_dependent_basis():
@@ -236,7 +277,9 @@ def brute_idealiser(maps, basis, S, side):
 
 
 def check_idealisers(t, maps, basis, S):
+    """Both idealiser reports against brute force; returns them."""
     code = GeneralCode(t, basis)
+    reps = []
     for side in ("left", "right"):
         ideal = brute_idealiser(maps, basis, S, side)
         rep = code.idealiser(side)
@@ -246,6 +289,19 @@ def check_idealisers(t, maps, basis, S):
             all(len(phi.roots()) == 1 for phi in ideal if not phi.is_zero())
         assert rep.is_field == field, (side, basis)
         assert rep.is_max == (field and rep.fq_dimension == t.n)
+        reps.append(rep)
+    return reps
+
+
+def polynomial_algebra(t, psi):
+    """The basis I, psi, psi^2, ... of F_q[psi], up to the first power in
+    the span of those before it, and that span."""
+    basis, S, f = [], {LinPoly.zero(t)}, LinPoly.identity(t)
+    while f not in S:
+        basis.append(f)
+        S = fq_span(t, basis)
+        f = f.compose(psi)
+    return basis, S
 
 
 def dot(t, f, g):
@@ -274,6 +330,53 @@ def test_general_code_against_brute_force(pen):
         dual = GeneralCode(t, basis).delsarte_dual()
         assert dual.dim == n2 - dim
         assert fq_span(t, dual.basis) == perp
+    # F_q[psi] is its own left and right idealiser, of dimension at most n:
+    # a field exactly when the minimal polynomial of psi is irreducible, so
+    # the field test meets nilpotents and products of fields here
+    verdicts = set()
+    for _ in range(16):
+        basis, S = polynomial_algebra(t, random_poly(t))
+        for rep in check_idealisers(t, maps, basis, S):
+            assert rep.fq_dimension == len(basis) <= t.n
+            verdicts.add(rep.is_field)
+    assert verdicts == {True, False}
+
+
+def brute_is_field(t, S):
+    """S, under composition, is a field whose unit is the identity map."""
+    return (LinPoly.identity(t) in S
+            and all(f.compose(g) in S for f in S for g in S)
+            and all(len(f.roots()) == 1 for f in S if not f.is_zero()))
+
+
+@pytest.mark.parametrize("pen", ORACLE_TOWERS)
+def test_field_check_against_brute_force(pen):
+    # spans that are not idealisers reach every exit of the field test:
+    # lines through an idempotent lack the identity, the span of the
+    # identity and a random map is not closed for 412 of the 510 maps
+    # outside F_q at (2, 1, 3) (at n = 2 it is F_q[f]), and F_q[psi] is a
+    # field, a product of fields or has nilpotents
+    t = make_tower(*pen)
+    maps, one = all_maps(t), LinPoly.identity(t)
+    idempotents = [f for f in maps
+                   if f.compose(f) == f and f not in (one, LinPoly.zero(t))]
+    spans = [[f] for f in rng.sample(idempotents, 2)]
+    if t.n > 2:
+        spans += [[one, f] for f in rng.sample(maps, 40)]
+    # F_q[g X] is F_{q^n}; F_q[X^q] is F_q[x]/(x^n - 1), never a field for n > 1
+    psis = [LinPoly.monomial(t, t.generator, 0), LinPoly.monomial(t, 1, 1)]
+    psis += [random_poly(t) for _ in range(8)]
+    spans += [polynomial_algebra(t, psi)[0] for psi in psis]
+    verdicts = set()
+    for basis in spans:
+        try:
+            code = GeneralCode(t, basis)
+        except ValueError:      # f is a multiple of the identity
+            continue
+        field = brute_is_field(t, fq_span(t, basis))
+        assert code._is_field() == field, basis
+        verdicts.add(field)
+    assert verdicts == {True, False}
 
 
 def test_idealiser_sides_are_not_swapped():
