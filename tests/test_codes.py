@@ -1,11 +1,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from mrdcodes._batch import SupportBlockMatrix
 from mrdcodes.codes import (GeneralCode, SupportCode, code_from_json,
                             gabidulin, named_family)
-from mrdcodes.fields import CapExceeded, make_tower, rref_modp
+from mrdcodes.fields import CapExceeded, make_tower, rref_modp, solve_modp
 from mrdcodes.linpoly import LinPoly
 
 rng = random.Random(0xC0DE5)
@@ -377,6 +379,23 @@ def test_field_check_against_brute_force(pen):
         assert code._is_field() == field, basis
         verdicts.add(field)
     assert verdicts == {True, False}
+
+
+def test_field_check_rejects_a_matrix_algebra():
+    # M_2(F_3), acting on F_{3^4} as on F_3^2 + F_3^2, holds the identity and
+    # is closed but not commutative; on this basis the two rank conditions
+    # alone would call it a field
+    t = make_tower(3, 1, 4)
+    L = SupportBlockMatrix(t, range(t.n)).L
+
+    def poly(A):
+        """The map with matrix diag(A, A) on the power basis."""
+        x = solve_modp(L.T, np.kron(np.eye(2, dtype=np.int64), A).reshape(-1), t.p)
+        return LinPoly(t, (t.element(x[4 * s:4 * s + 4].tolist()) for s in range(4)))
+    basis = [poly(np.array(A)) for A in ([[1, 0], [0, 1]], [[2, 2], [2, 0]],
+                                         [[2, 1], [2, 2]], [[0, 2], [2, 2]])]
+    assert basis[0] == LinPoly.identity(t)
+    assert not GeneralCode(t, basis)._is_field()
 
 
 def test_idealiser_sides_are_not_swapped():
