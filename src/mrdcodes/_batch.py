@@ -4,13 +4,16 @@ Codewords of a support code are F_p-linear in their coefficient coordinates,
 so a whole batch of codeword matrices is one integer matmul: for coefficient
 coordinate rows A (batch x k*d) and the precomputed block matrix L
 (k*d x d*d), the batch of d x d map matrices is (A @ L) % p.  A general
-code's maps come from the same L on the full support {0, ..., n-1}
-(codes.GeneralCode.min_distance), so SupportBlockMatrix is the one block
-matrix.  Ranks are then taken by masked Gauss-Jordan vectorized over the
-batch dimension.  At p = 2 the batch dimension is packed into bits, eight
-matrices to a byte, and elimination is AND, OR and XOR on the packed rows
-(bit slicing, as in M4RI); it follows the same pivot rule and leaves the
-same reduced batch.
+code's maps come from the same L on the full support {0, ..., n-1}, taken
+on the F_q-span of its basis (codes.GeneralCode.min_distance), so
+SupportBlockMatrix is the one block matrix, and its ranks() is the one
+entry of the rank sweeps.  Ranks are taken by masked Gauss-Jordan
+vectorized over the batch dimension.  At p = 2 the batch dimension is
+packed into bits, eight matrices to a byte, and elimination is AND, OR and
+XOR on the packed rows (bit slicing, as in M4RI); it follows the same pivot
+rule and leaves the same reduced batch.  ranks() builds that packed batch
+without the matmul: a map entry is the XOR of the packed coordinate rows
+whose row of L has a 1 there.
 
 Element order everywhere is the canonical one from fields: element #m has
 coordinates c_i = (m // p^(d-1-i)) % p.
@@ -103,7 +106,19 @@ def _gauss_jordan(m: np.ndarray, p: int) -> np.ndarray:
 
 
 def _gf2_gauss_jordan(m: np.ndarray) -> np.ndarray:
-    """batch_rank's elimination at p = 2, in place on m.
+    """batch_rank's elimination at p = 2, in place on m: pack the batch
+    into bits, eliminate them (_gf2_eliminate), unpack the reduced bits."""
+    B = m.shape[0]
+    bits = np.packbits(np.ascontiguousarray(m.transpose(1, 2, 0), dtype=np.uint8),
+                       axis=2)                                 # (r, c, ceil(B/8))
+    ranks = _gf2_eliminate(bits, B)
+    m[...] = np.unpackbits(bits, axis=2, count=B).transpose(2, 0, 1)
+    return ranks
+
+
+def _gf2_eliminate(bits: np.ndarray, B: int) -> np.ndarray:
+    """Ranks of the B matrices packed in bits, shape (r, c, ceil(B/8)),
+    which are reduced in place.
 
     Bit b of byte w of bits[i, j] is entry (i, j) of matrix 8w + b, and
     used[i] holds the same bit for "row i is a pivot row".  Per column a
@@ -112,9 +127,7 @@ def _gf2_gauss_jordan(m: np.ndarray) -> np.ndarray:
     an OR over the rows, and XORed into every other row with a 1 in the
     column.  A matrix without a candidate gathers a zero pivot row.
     """
-    B, r, c = m.shape
-    bits = np.packbits(np.ascontiguousarray(m.transpose(1, 2, 0), dtype=np.uint8),
-                       axis=2)                                 # (r, c, ceil(B/8))
+    r, c, _ = bits.shape
     used = np.zeros((r, bits.shape[2]), dtype=np.uint8)
     for col in range(c):
         cand = bits[:, col] & ~used
@@ -123,7 +136,6 @@ def _gf2_gauss_jordan(m: np.ndarray) -> np.ndarray:
         pivot = np.bitwise_or.reduce(bits & sel[:, None, :], axis=0)
         bits ^= (bits[:, col] & ~sel)[:, None, :] & pivot
         used |= sel
-    m[...] = np.unpackbits(bits, axis=2, count=B).transpose(2, 0, 1)
     return np.unpackbits(used, axis=1, count=B).sum(axis=0, dtype=np.int64)
 
 
@@ -173,31 +185,43 @@ def element_coord_columns(idx: np.ndarray, p: int, d: int) -> np.ndarray:
 class SupportBlockMatrix:
     """Precomputed L with rows (i*d + j) = flatten(Mult(g^j) @ Frob(u_i)) for a
     support-code with q-exponents u_0 < ... < u_{k-1}; Mult(g^j) is the j-th
-    power of the companion matrix Mult(g)."""
+    power of the companion matrix Mult(g) (FieldTower.mult_powers).  Given
+    `rows` (m x k*d) over F_p, L is rows @ L instead: the block of the m
+    codewords with those coordinates, whose F_p-combinations it maps.
 
-    def __init__(self, tower, q_exponents):
+    ranks() is the rank sweeps' one entry.  At odd p it ranks matrices().
+    At p = 2 it never forms the int64 product: the coordinate rows are
+    packed along the batch axis, eight to a byte, and each packed map entry
+    is the XOR of the packed rows that L's boolean masks select, built
+    straight in the layout _gf2_eliminate reduces (bit slicing, as in M4RI).
+    """
+
+    def __init__(self, tower, q_exponents, rows=None):
         self.tower = tower
-        self.exps = tuple(q_exponents)
         d, p = tower.degree, tower.p
-        k = len(self.exps)
-        C = tower.mult_matrix(tower.generator)
-        powers = [np.eye(d, dtype=np.int64)]
-        for _ in range(d - 1):
-            powers.append(C @ powers[-1] % p)
-        L = np.zeros((k * d, d * d), dtype=np.int64)
-        for i, u in enumerate(self.exps):
-            F = tower.frob_q_matrix(u)
-            for j, M in enumerate(powers):
-                L[i * d + j] = (M @ F % p).reshape(-1)
-        self.L = L
-        self.k = k
+        L = np.stack([tower.mult_powers @ tower.frob_q_matrix(u) % p
+                      for u in q_exponents]).reshape(-1, d * d)
+        self.L = L if rows is None else rows @ L % p
         self.d = d
+        # the map entries each coordinate row feeds, for the packed build
+        self._masks = self.L.astype(bool) if p == 2 else None
 
     def matrices(self, coeff_coords: np.ndarray) -> np.ndarray:
         """(B, k*d) coordinate rows -> (B, d, d) map matrices mod p."""
         t = self.tower
         flat = coeff_coords @ self.L % t.p
         return flat.reshape(-1, self.d, self.d)
+
+    def ranks(self, coeff_coords: np.ndarray) -> np.ndarray:
+        """Ranks over F_p of matrices(coeff_coords)."""
+        if self.tower.p != 2:
+            return batch_rank(self.matrices(coeff_coords), self.tower.p)
+        d = self.d
+        packed = np.packbits(coeff_coords.T.astype(np.uint8), axis=1)
+        bits = np.zeros((d * d, packed.shape[1]), dtype=np.uint8)
+        for mask, row in zip(self._masks, packed):
+            bits[mask] ^= row
+        return _gf2_eliminate(bits.reshape(d, d, -1), coeff_coords.shape[0])
 
 
 class OrbitSweep:

@@ -119,8 +119,7 @@ class SupportCode:
         best = t.n
         for lead, start, count in sweep.chunks(1 << 16, 1 << 16):
             tails, _, _ = sweep.representatives(lead, start, count)
-            coords = _batch.projective_coords(t, lead, tails)
-            ranks = _batch.batch_rank(sb.matrices(coords), t.p)
+            ranks = sb.ranks(_batch.projective_coords(t, lead, tails))
             best = min(best, int(ranks.min()) // t.e)
         return best
 
@@ -280,16 +279,17 @@ class GeneralCode:
     def min_distance(self, budget: int = GENERAL_SCAN_CAP) -> int:
         """Minimum rank over nonzero codewords, one per F_q-line: lead scalar
         u_0 (the first of fq_basis_fp) and every F_q tail after it.  The
-        maps of u_j*f_i are the rows of one block (fq_span_rows against the
-        full support's SupportBlockMatrix), and a codeword's map is its
-        F_p-coordinates times that block."""
+        maps of u_j*f_i are the rows of one block (the full support's
+        SupportBlockMatrix on the fq_span_rows), a codeword's map is its
+        F_p-coordinates times that block, and the block's ranks() ranks
+        them."""
         t, k, e, p = self.tower, self.dim, self.tower.e, self.tower.p
         if k == 0:
             raise ValueError("the zero code has no minimum distance")
         if t.q ** k > budget:
             raise CapExceeded("code too large for a general distance scan")
-        block = t.fq_span_rows(self._vecs(self.basis)) \
-            @ _batch.SupportBlockMatrix(t, range(t.n)).L % p
+        maps = _batch.SupportBlockMatrix(t, range(t.n),
+                                         t.fq_span_rows(self._vecs(self.basis)))
         best = t.n
         for lead in range(k):
             tails = k - 1 - lead
@@ -298,8 +298,7 @@ class GeneralCode:
                 coords = np.zeros((len(idx), k * e), dtype=np.int64)
                 coords[:, lead * e] = 1
                 coords[:, (lead + 1) * e:] = _batch.element_coord_columns(idx, p, tails * e)
-                maps = (coords @ block % p).reshape(-1, t.degree, t.degree)
-                best = min(best, int(_batch.batch_rank(maps, p).min()) // e)
+                best = min(best, int(maps.ranks(coords).min()) // e)
         return best
 
     def descriptor(self) -> dict:

@@ -431,16 +431,31 @@ class FieldTower:
             k >>= 1
         return r
 
+    @property
+    def mult_powers(self) -> np.ndarray:
+        """Mult(g^j) for j = 0..d-1, shape (d, d, d), read-only: the powers
+        of the companion matrix Mult(g).  Column i of Mult(g^j) holds the
+        coordinates of g^(i+j), a unit vector below d and a reduction row
+        (_red) from there, so no product is needed."""
+        key = "multpow"
+        if key not in self._lazy:
+            d = self.degree
+            cols = np.concatenate([np.eye(d, dtype=np.int64),
+                                   np.array(self._red, dtype=np.int64).reshape(-1, d)])
+            P = np.stack([cols[j:j + d].T for j in range(d)])
+            P.setflags(write=False)
+            self._lazy[key] = P
+        return self._lazy[key]
+
     def mult_matrix(self, a: int) -> np.ndarray:
-        """d x d matrix over F_p of y -> a*y, columns indexed by power basis."""
-        d = self.degree
-        cols = []
-        y = a
-        g = self.generator
-        for _ in range(d):
-            cols.append(self.coords(y))
-            y = self.mul(y, g)
-        return np.array(cols, dtype=np.int64).T % self.p
+        """d x d matrix over F_p of y -> a*y, columns indexed by power basis:
+        sum_j a_j Mult(g^j) for the coordinates a_j of a."""
+        p, d = self.p, self.degree
+        # the sum of d products of residues, in Python ints past int64
+        dtype = np.int64 if d * (p - 1) ** 2 < 1 << 63 else object
+        c = np.array(self.coords(a), dtype=dtype)
+        M = c @ self.mult_powers.reshape(d, d * d).astype(dtype, copy=False) % p
+        return M.astype(np.int64).reshape(d, d)
 
     def _build_tables(self):
         Q, d, p = self.order, self.degree, self.p
@@ -453,11 +468,7 @@ class FieldTower:
         hs = h  # h^filled, maintained by fallback arithmetic
         while filled < Q - 1:
             step = min(filled, Q - 1 - filled)
-            M = np.zeros((d, d), dtype=dtype)
-            y = hs
-            for j in range(d):
-                M[:, j] = self.coords(y)
-                y = self._mul_fallback(y, self.generator)
+            M = self.mult_matrix(hs).astype(dtype)
             digits[filled:filled + step] = digits[:step] @ M.T % p
             hs = self._mul_fallback(hs, self._pow_fallback(h, step))
             filled += step

@@ -176,7 +176,7 @@ def _scan_chunk(args):
     t = make_tower(p, e, n)
     tails, _, orbit = _orbit_sweep(p, e, n, exps).representatives(lead, start, count)
     coords = _batch.projective_coords(t, lead, tails)
-    ranks = _batch.batch_rank(_support_block(p, e, n, exps).matrices(coords), t.p)
+    ranks = _support_block(p, e, n, exps).ranks(coords)
     bad = np.flatnonzero(ranks < threshold)
     return (-1 if bad.size == 0 else int(bad[0])), int(orbit.sum())
 

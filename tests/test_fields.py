@@ -246,6 +246,97 @@ def test_gf2_elimination_matches_generic(r1, r2, c, B, seed):
             assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
+def _draw_coords(gen, B, width, p):
+    """B coordinate rows, each of its own density, so that ranks fall."""
+    keep = gen.random((B, width)) < gen.random((B, 1))
+    return np.where(keep, gen.integers(1, p, size=(B, width)), 0)
+
+
+def _assert_ranks_match(sb, coords):
+    want = _batch.batch_rank(sb.matrices(coords), sb.tower.p)
+    got = sb.ranks(coords)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    return got
+
+
+@pytest.mark.parametrize("pen, T", [((2, 1, 9), (0, 1, 3, 4)), ((2, 1, 7), (0, 1, 3)),
+                                    ((2, 2, 4), (0, 1, 3)), ((2, 3, 3), (0, 2)),
+                                    ((3, 1, 7), (0, 1, 3)), ((3, 2, 3), (0, 1)),
+                                    ((2, 1, 64), (0, 5, 17)), ((2, 4, 16), (0, 2))])
+def test_support_block_ranks_match_batch_rank(pen, T):
+    # at p = 2 ranks() builds the maps bit-packed, without the matmul; batch
+    # sizes off a multiple of 8 leave a partly filled byte of bits.  Up to
+    # degree 16 also a general code's block (rows @ L on the full support,
+    # as GeneralCode.min_distance builds it) and one block of the scan's
+    # canonical representatives
+    t = make_tower(*pen)
+    gen = np.random.default_rng(sum(pen) * 31 + len(T))
+    blocks = [_batch.SupportBlockMatrix(t, T)]
+    sizes = (0, 9, 130)
+    if t.degree <= 16:
+        rows = t.fq_span_rows(_draw_coords(gen, 3, t.n * t.degree, t.p))
+        blocks.append(_batch.SupportBlockMatrix(t, range(t.n), rows))
+        assert blocks[1].L.shape == (3 * t.e, t.degree ** 2)
+        sizes = (0, 1, 7, 8, 9, 1027)
+    seen = set()
+    for sb in blocks:
+        for B in sizes:
+            ranks = _assert_ranks_match(sb, _draw_coords(gen, B, sb.L.shape[0], t.p))
+            seen.update(ranks.tolist())
+    assert t.degree in seen and min(seen) < t.degree
+    if t.degree <= 16:
+        sweep = _batch.OrbitSweep(t, T)
+        tails, _, _ = sweep.representatives(0, 0, min(sweep.counts[0], 1027))
+        _assert_ranks_match(blocks[0], _batch.projective_coords(t, 0, tails))
+
+
+@st.composite
+def rank_blocks(draw):
+    """(p, e, n), a support and a batch size; p in {2, 3}."""
+    p = draw(st.sampled_from((2, 3)))
+    d = draw(st.integers(1, 12 if p == 2 else 7))
+    e = draw(st.sampled_from([e for e in range(1, d + 1) if d % e == 0]))
+    n = d // e
+    T = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return (p, e, n), sorted(T), draw(st.integers(0, 80))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank_blocks(), st.integers(0, 2 ** 32 - 1))
+@example(((2, 1, 1), [0], 9), 0)
+@example(((2, 6, 2), [0, 1], 65), 1)
+def test_support_block_ranks_random(block, seed):
+    pen, T, B = block
+    t = make_tower(*pen)
+    gen = np.random.default_rng(seed)
+    sb = _batch.SupportBlockMatrix(t, T)
+    _assert_ranks_match(sb, _draw_coords(gen, B, sb.L.shape[0], t.p))
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 1), (5, 1, 1), (2, 1, 7), (3, 1, 5), (2, 2, 3),
+                                 (7, 1, 3), (2, 3, 8), (3, 2, 7), (4294967311, 1, 1)])
+def test_mult_matrix_against_columns(pen):
+    # Mult(a) = sum_j a_j Mult(g^j) from the cached companion-matrix powers
+    # against the column-by-column construction, column j = coords(a * g^j),
+    # by the tower's own mul (Zech tables where it has them; (2, 3, 8) has
+    # none) and by schoolbook products
+    t = make_tower(*pen)
+    d, p, g = t.degree, t.p, t.generator
+    P = t.mult_powers
+    assert P.shape == (d, d, d) and not P.flags.writeable
+    assert t.mult_powers is P
+    for j in range(1, d):
+        assert np.array_equal(P[j], P[j - 1] @ P[1] % p)
+    for a in [0, 1, g] + [t.element_at(rng.randrange(t.order)) for _ in range(6)]:
+        cols, y = [], a
+        for _ in range(d):
+            cols.append(t.coords(y))
+            assert t.mul(y, g) == t._mul_fallback(y, g)
+            y = t.mul(y, g)
+        M = t.mult_matrix(a)
+        assert M.dtype == np.int64 and M.tolist() == np.array(cols).T.tolist()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from((2, 3, 5, 7, 251)), st.integers(1, 6), st.integers(1, 6),
        st.randoms(use_true_random=False))
