@@ -12,11 +12,12 @@ and y -> W(1,x,y) are F_q-linear: with a_j = x^q - x^{q^j} they are the
 q-polynomials -a_j y + (a_j - u) y^q + u y^{q^j}, codewords of the supports
 {0,1,3} and {0,1,2}.  So the line through x holds a point of H off W exactly
 when rank [M_H; M_W] > rank M_H for their d x d matrices over F_p, and the
-MRD engine and the point count take both ranks from one elimination of
+MRD engine and the point counts take both ranks from one elimination of
 [M_H; M_W] per x instead of evaluating all q^{2n} pairs.  The maps see x
 only through u and a_j, which x -> x + c leaves unchanged for c in F_q, so
-the MRD engine ranks one x per coset x + F_q, its canonical minimum.  In
-the same way the points of W on the line through x are ker M_W(x): the
+every sweep over x ranks one x per coset x + F_q, its canonical minimum,
+and a count over all x is q times the count over the minima.  In the same
+way the points of W on the line through x are ker M_W(x): the
 intersection count lists them kernel by kernel and evaluates V at each
 through the closed form
 
@@ -83,7 +84,9 @@ def count_V_cap_W(tower) -> int:
     An honest enumeration, line by line: the points of W on the line
     through x are the y in ker M_W(x), listed by span (the whole field for
     x in F_q, where M_W is zero), and V is evaluated at every one of them
-    by the closed form.  That is q^n small kernels and about (q^2 + q) q^n
+    by the closed form.  W's kernel and u = x^q - x are the same for every x
+    in a coset x + F_q, so only the coset minima are swept and their count
+    is multiplied by q: q^{n-1} small kernels and about (q^2 + q) q^{n-1}
     evaluations of V, in blocks of at most POINT_BLOCK points.  V needs the
     Zech tables, so a field past TABLE_CAP raises CapExceeded.
 
@@ -112,34 +115,16 @@ def count_V_cap_W(tower) -> int:
                 v = combos @ basis_v % p @ packing           # (len(sel), len(combos))
                 uu = np.broadcast_to(u[sel][:, None], v.shape)
                 count += int((_v_closed(t, uu, v) == 0).sum())
-    return count
+    return t.q * count
 
 
 def count_V_cap_W_closure(tower) -> int:
-    """Affine points of V cap W over the algebraic closure, counted inside
-    F_{q^2} x F_{q^2} where they all live.  The case analysis (x in F_q,
-    y in F_q, or u = xi v) gives 2(q^3 - q^2) + q(q-1)(q^2-q) = q^2(q^2-1):
-    the Artin-Schreier fiber of x^q - x = xi(y^q - y) has exactly q points."""
-    t2 = make_tower(tower.p, tower.e, 2)
-    els = list(t2.enumerate_field())
-    gammas = quadratic_gammas(t2)
-    count = 0
-    for x in els:
-        xq = t2.frobenius_q(x, 1)
-        u = t2.sub(xq, x)
-        a = t2.sub(xq, t2.frobenius_q(xq, 1))   # x^q - x^{q^2}, honest powers
-        for y in els:
-            yq = t2.frobenius_q(y, 1)
-            v = t2.sub(yq, y)
-            c = t2.sub(t2.frobenius_q(yq, 1), yq)
-            if t2.add(t2.mul(a, v), t2.mul(c, u)) != 0:
-                continue
-            prod = 1
-            for g in gammas:
-                prod = t2.mul(prod, t2.sub(u, t2.mul(g, v)))
-            if t2.add(prod, 1) == 0:
-                count += 1
-    return count
+    """Affine points of V cap W over the algebraic closure.  They all have
+    coordinates in F_{q^2}, so this is count_V_cap_W over F_{q^2}.  The case
+    analysis (x in F_q, y in F_q, or u = xi v) gives 2(q^3 - q^2) +
+    q(q-1)(q^2-q) = q^2(q^2-1): the Artin-Schreier fiber of
+    x^q - x = xi(y^q - y) has exactly q points."""
+    return count_V_cap_W(make_tower(tower.p, tower.e, 2))
 
 
 def points_at_infinity(tower) -> int:
@@ -194,33 +179,29 @@ def _line_maps(tower, idx, j):
     return _support_block(t.p, t.e, t.n, (0, 1, j)).matrices(coeffs)
 
 
-def _x_blocks(tower, per_coset: bool = False):
-    """Canonical indices of every x in increasing order, in blocks that
-    start at 16 and double up to X_BLOCK, so an early point costs little.
-    With per_coset, only the minimum of each coset x + F_q: the member with
-    zero digits at the pivot columns of F_q's reduced echelon F_p-basis (the
-    rows behind `fq_basis_fp`), since adding the basis rows can clear those
-    digits and any other member is larger at its first nonzero pivot digit.
-    Those minima are listed by spreading a counter over the free columns."""
+def _x_blocks(tower):
+    """Canonical indices of the minimum of each coset x + F_q, in increasing
+    order, in blocks that start at 16 and double up to X_BLOCK, so an early
+    point costs little.  The minimum is the member with zero digits at the
+    pivot columns of F_q's reduced echelon F_p-basis (the rows behind
+    `fq_basis_fp`), since adding the basis rows can clear those digits and
+    any other member is larger at its first nonzero pivot digit.  The
+    q^{n-1} minima are listed by spreading a counter over the free columns."""
     t, p, d = tower, tower.p, tower.degree
-    total, weights = t.order, None
-    if per_coset:
-        pivots = rref_modp([t.coords(u) for u in t.fq_basis_fp], p)[1]
-        free = np.array(sorted(set(range(d)) - set(pivots)), dtype=np.int64)
-        total, weights = t.order // t.q, p ** (d - 1 - free)
+    pivots = rref_modp([t.coords(u) for u in t.fq_basis_fp], p)[1]
+    free = np.array(sorted(set(range(d)) - set(pivots)), dtype=np.int64)
+    total, weights = t.order // t.q, p ** (d - 1 - free)
     start, size = 0, 16
     while start < total:
-        idx = np.arange(start, min(start + size, total), dtype=np.int64)
-        if weights is not None:
-            idx = _batch.element_coord_columns(idx, p, len(weights)) @ weights
-        yield idx
+        counter = np.arange(start, min(start + size, total), dtype=np.int64)
+        yield _batch.element_coord_columns(counter, p, len(free)) @ weights
         start, size = start + size, min(2 * size, X_BLOCK)
 
 
-def _line_ranks(tower, per_coset: bool = False):
-    """(idx, rank M_H, rank [M_H; M_W]) over the x of `_x_blocks`, by one
-    elimination of [M_H; M_W] per block of x."""
-    for idx in _x_blocks(tower, per_coset):
+def _line_ranks(tower):
+    """(idx, rank M_H, rank [M_H; M_W]) over the coset minima of `_x_blocks`,
+    by one elimination of [M_H; M_W] per block of x."""
+    for idx in _x_blocks(tower):
         mh, mw = (_line_maps(tower, idx, j) for j in (3, 2))
         yield (idx, *_batch.stacked_ranks(mh, mw, tower.p))
 
@@ -253,7 +234,7 @@ def mrd_via_curve(tower):
     t0 = time.perf_counter()
     t = tower
     code = SupportCode(t, (0, 1, 3), 1)
-    for idx, rank_h, rank_hw in _line_ranks(t, per_coset=True):
+    for idx, rank_h, rank_hw in _line_ranks(t):
         bad = np.flatnonzero(rank_hw > rank_h)
         if bad.size:
             xpos = int(idx[bad[0]])
@@ -298,20 +279,25 @@ def curve_report(tower) -> CurveCount:
 def _h_minus_w_points(tower):
     """The points with H = 0 != W in packed (x, y) order, the first
     POINT_SAMPLE_LIMIT of them, and their number: each x contributes
-    |ker M_H| - |ker M_H cap ker M_W| points."""
+    |ker M_H| - |ker M_H cap ker M_W| points, the same for the q members of
+    its coset x + F_q.  The sample expands each coset minimum with points to
+    its members and lists ker M_H minus ker M_W once per coset."""
     t, p, d = tower, tower.p, tower.degree
     total = 0
-    xpos = []
+    minima = []
     for idx, rank_h, rank_hw in _line_ranks(t):
-        total += int((p ** (d - rank_h) - p ** (d - rank_hw)).sum())
-        xpos.append(idx[rank_hw > rank_h])
-    xpos = np.concatenate(xpos)
+        total += t.q * int((p ** (d - rank_h) - p ** (d - rank_hw)).sum())
+        minima.append(idx[rank_hw > rank_h])
+    minima = np.concatenate(minima)
     packing = p ** np.arange(d, dtype=np.int64)
-    xs = _batch.element_coord_columns(xpos, p, d) @ packing
-    pts = []
-    for i in np.argsort(xs):
+    shifts = np.array([t.coords(c) for c in t.subfield_elements], dtype=np.int64)
+    xs = (_batch.element_coord_columns(minima, p, d)[:, None] + shifts) % p @ packing
+    ys, pts = {}, []
+    for i in np.argsort(xs, axis=None):       # flat index: coset i // q
         if len(pts) >= POINT_SAMPLE_LIMIT:
             break
-        ys = np.sort(_h_off_w(t, int(xpos[i])) @ packing)
-        pts += [(int(xs[i]), int(y)) for y in ys[:POINT_SAMPLE_LIMIT - len(pts)]]
+        c = i // t.q
+        if c not in ys:
+            ys[c] = np.sort(_h_off_w(t, int(minima[c])) @ packing)
+        pts += [(int(xs.flat[i]), int(y)) for y in ys[c][:POINT_SAMPLE_LIMIT - len(pts)]]
     return pts, total

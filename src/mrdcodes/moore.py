@@ -15,8 +15,8 @@ import math
 import time
 
 from . import _linalg
-from .fields import FieldTower, rref_modp
-from .linpoly import LinPoly
+from .fields import FieldTower
+from .linpoly import LinPoly, fq_independent
 
 
 def moore_matrix(tower: FieldTower, A, T, s: int = 1):
@@ -61,13 +61,9 @@ def moore_product_formula(tower: FieldTower, A) -> int:
 
 
 def fq_rank(tower: FieldTower, elems) -> int:
-    """Rank over F_q of a set of field elements: the F_p-rank of their
-    F_q-span rows over e."""
-    elems = list(elems)
-    if not elems:
-        return 0
-    rows = tower.fq_span_rows([tower.coords(a) for a in elems])
-    return len(rref_modp(rows, tower.p)[1]) // tower.e
+    """Rank over F_q of a set of field elements: the number of them that
+    `fq_independent` keeps."""
+    return len(fq_independent(tower, [tower.coords(a) for a in elems]))
 
 
 def independence_criterion(tower: FieldTower, A, s: int = 1) -> bool:

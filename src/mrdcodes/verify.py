@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _batch
-from .fields import (CapExceeded, TABLE_CAP, make_tower, nullspace_modp, rref_modp,
-                     solve_modp, span_modp, subtract_p_once)
+from .fields import (CapExceeded, make_tower, nullspace_modp, rref_modp, solve_modp,
+                     span_modp, subtract_p_once)
 from .linpoly import LinPoly, fq_independent
 from .codes import SupportCode, adjoint_support, dual_support
 
@@ -117,7 +117,7 @@ def validate_certificate(cert: Certificate) -> bool:
         return False
     if cert.method == "curve" and code.q_support() != (0, 1, 3):
         return False
-    if support013 and n >= 5 and tw.order <= TABLE_CAP:
+    if support013 and n >= 5 and tw.tables is not None:
         return trinomial_criterion(tw).verdict == VERDICT_MRD
     return cert.method not in ("trinomial", "curve")
 
@@ -575,7 +575,7 @@ def decide(code: SupportCode, budget: int = DEFAULT_BUDGET,
     if canon in d_canon:
         return n9_witness(tower, d_canon[canon], budget=budget)
     if k == 3 and n >= 5 and canon == shift_canonical((0, 1, 3), n) \
-            and tower.order <= TABLE_CAP:
+            and tower.tables is not None:
         return trinomial_criterion(tower)
     return exhaustive_scan(code, budget=budget, workers=workers)
 

@@ -16,10 +16,12 @@ CURVE_TOWERS = [(2, 1, 5), (2, 1, 6), (2, 1, 7), (2, 1, 8), (3, 1, 5), (3, 1, 6)
                 (3, 1, 7), (3, 1, 8), (2, 2, 5), (2, 2, 6), (2, 2, 7), (5, 1, 5),
                 (5, 1, 6)]
 
-# (p, e, n) -> |V cap W| over F_{q^n}, as the pair sweep counts it
+# (p, e, n) -> |V cap W| over F_{q^n}, as the pair sweep counts it; the
+# n = 2 towers are the closure counts
 COUNT_TOWERS = {(2, 1, 6): 12, (2, 1, 7): 0, (2, 1, 8): 12, (3, 1, 4): 72,
                 (3, 1, 6): 72, (3, 1, 7): 0, (2, 2, 4): 240, (2, 2, 6): 240,
-                (5, 1, 4): 600, (5, 1, 5): 0}
+                (5, 1, 4): 600, (5, 1, 5): 0, (2, 1, 2): 12, (3, 1, 2): 72,
+                (2, 2, 2): 240, (5, 1, 2): 600}
 
 
 # ----------------------------------------------------------------------------
@@ -307,9 +309,11 @@ def test_count_V_cap_W_without_tables(no_tables, capsys):
 
 def test_closure_count_formula():
     # the case analysis gives 2(q^3-q^2) + q(q-1)(q^2-q) = q^2(q^2-1)
-    for q in (2, 3, 5):
-        t = make_tower(q, 1, 4)
+    for t in (make_tower(2, 1, 4), make_tower(3, 1, 4), make_tower(2, 2, 4),
+              make_tower(5, 1, 4), make_tower(7, 1, 4)):
+        q = t.q
         assert curves.count_V_cap_W_closure(t) == q * q * (q * q - 1)
+    assert curves.count_V_cap_W_closure(make_tower(7, 1, 3)) == 2352
 
 
 def test_points_at_infinity():
@@ -368,7 +372,7 @@ def test_mrd_via_curve_matches_pair_sweep(p, e, n):
 @pytest.mark.parametrize("p,e,n", [(2, 1, 7), (2, 2, 5), (3, 2, 3), (2, 3, 3)])
 def test_coset_sweep_lists_each_coset_minimum(p, e, n):
     t = make_tower(p, e, n)
-    xs = np.concatenate(list(curves._x_blocks(t, per_coset=True))).tolist()
+    xs = np.concatenate(list(curves._x_blocks(t))).tolist()
     minima = {min(t.canonical_index(t.add(t.element_at(m), c))
                   for c in t.subfield_elements) for m in range(t.order)}
     assert xs == sorted(minima)

@@ -381,6 +381,16 @@ def test_decide_dispatch():
     assert scan.method == "scan" and scan.code_desc["s"] == 2
 
 
+def test_decide_without_tables_scans_013(no_tables):
+    # the trinomial criterion needs the Zech tables, so {0,1,3} goes to the scan
+    code = SupportCode(make_tower(2, 1, 7), (0, 1, 3), 1)
+    assert code.tower.tables is None
+    cert = verify.decide(code)
+    assert (cert.method, cert.verdict) == ("scan", "NOT_MRD")
+    assert _untimed(cert) == _untimed(verify.exhaustive_scan(code))
+    assert verify.validate_certificate(cert)
+
+
 def test_n9_witness_all_cases():
     for q in (2, 3):
         t = make_tower(q, 1, 9)
