@@ -16,7 +16,7 @@ import sys
 
 from . import curves, moore, verify
 from .codes import SupportCode, adjoint_support, dual_support, named_family
-from .fields import make_tower
+from .fields import factorize, make_tower
 from .linpoly import LinPoly
 
 DEFAULT_CATALOG = "mrd_catalog.jsonl"
@@ -30,17 +30,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"q={q} is not a prime power")
-            return p, e
-    raise ValueError(f"q={q} is not a prime power")
+    fac = factorize(q)
+    if len(fac) != 1:
+        raise ValueError(f"q={q} is not a prime power")
+    [(p, e)] = fac.items()
+    return p, e
 
 
 def _tower(args):

@@ -230,7 +230,7 @@ def mrd_via_curve(tower):
     sweep is the minimum of its coset, so the sweep over the q^n / q minima
     stops at the same x."""
     from .moore import _codeword_killing
-    from .verify import Certificate, VERDICT_MRD, VERDICT_NOT_MRD, _ms
+    from .verify import Certificate, VERDICT_MRD, _ms, _not_mrd
     t0 = time.perf_counter()
     t = tower
     code = SupportCode(t, (0, 1, 3), 1)
@@ -247,14 +247,8 @@ def mrd_via_curve(tower):
     first = int(np.argmin(canon))
     x, y = t.element_at(xpos), t.element(ys[first].tolist())
     f = _codeword_killing(t, (1, x, y), (0, 1, 3))
-    kd = f.kernel_dim()
-    if kd < 3:
-        raise RuntimeError("curve witness failed q-circulant re-validation")
-    witness = {"point": [t.coords(x), t.coords(y)],
-               "codeword": f.to_json(), "kernel_dim": kd}
-    return Certificate(code.descriptor(), VERDICT_NOT_MRD, "curve", witness,
-                       xpos * t.order + int(canon[first]) + 1, t.descriptor(),
-                       _ms(t0))
+    return _not_mrd(code, "curve", f, xpos * t.order + int(canon[first]) + 1, t0,
+                    point=[t.coords(x), t.coords(y)])
 
 
 def curve_report(tower) -> CurveCount:

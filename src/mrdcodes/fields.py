@@ -9,6 +9,13 @@ so a tower is reproducible from (p, e, n) alone; no external polynomial
 tables (Conway or otherwise) are consulted, and any constants appearing in
 serialized certificates are relative to this modulus.
 
+One matrix carries the p-power Frobenius: Q, the d x d matrix over F_p of
+x -> x^p on F_p[X]/(m), column j the coordinates of X^(jp) mod m.  A
+candidate modulus m is irreducible exactly when Q is injective and fixes
+only F_p (Berlekamp's criterion: rank Q = d and rank(Q - I) = d - 1); the
+tower caches Q and its powers as the matrices of the i-fold Frobenius, and
+without Zech tables the scalar Frobenius is a product with them.
+
 The subfield F_q is realized as the fixed field of the e-fold p-power
 Frobenius; F_{q^n} is an n-dimensional F_q-space in the power basis of g.
 Multiplication uses discrete-log (Zech) tables for fields up to TABLE_CAP
@@ -81,7 +88,7 @@ def factorize(m: int) -> dict[int, int]:
 
 # ----------------------------------------------------------------------------
 # Dense polynomials over F_p: tuples of ints, constant term first, no
-# trailing zeros.  Only used for modulus search and fallback arithmetic.
+# trailing zeros.  Only used for the powers of X modulo a candidate modulus.
 # ----------------------------------------------------------------------------
 
 def _ptrim(f):
@@ -103,57 +110,45 @@ def _pmod(f, m, p):
     return _ptrim(f[:dm])
 
 
-def _pgcd_monic(f, g, p):
-    """Monic gcd over F_p."""
-    f, g = _ptrim(f), _ptrim(g)
-    while g:
-        inv = pow(g[-1], p - 2, p)
-        gm = tuple((c * inv) % p for c in g)
-        f, g = gm, _pmod(f, gm, p)
-    return f
+def _x_power(k, m, p):
+    """Coordinates (c_0, ..., c_{d-1}) of X^k modulo the monic m over F_p:
+    the leading bits of k, while they stay at most 2d - 2, give one monomial
+    reduced once; each further bit squares the residue and, for a 1,
+    multiplies it by X."""
+    d = len(m) - 1
+    s = 0
+    while k >> s > max(2 * d - 2, 1):
+        s += 1
+    r = _pmod((0,) * (k >> s) + (1,), m, p)
+    for i in reversed(range(s)):
+        bit = k >> i & 1
+        sq = [0] * (2 * len(r) - 1 + bit)
+        for a, x in enumerate(r):
+            if x:
+                for b, y in enumerate(r):
+                    sq[a + b + bit] += x * y
+        r = _pmod([c % p for c in sq], m, p)
+    return tuple(r) + (0,) * (d - len(r))
 
 
-def _p_frob(f, m, p):
-    """f(X)**p mod m, via the additive p-power map over F_p."""
-    out = ()
-    for i, c in enumerate(f):
-        if c:
-            xe = _pmod((0,) * (i * p) + (1,), m, p)
-            out = _padd(out, tuple((c * t) % p for t in xe), p)
-    return out
-
-
-def _padd(f, g, p):
-    n = max(len(f), len(g))
-    f = tuple(f) + (0,) * (n - len(f))
-    g = tuple(g) + (0,) * (n - len(g))
-    return _ptrim(tuple((a + b) % p for a, b in zip(f, g)))
+def _frobenius_matrix(m, p):
+    """Q, the d x d matrix over F_p of x -> x^p on F_p[X]/(m): column j
+    holds the coordinates of X^(jp) mod m."""
+    d = len(m) - 1
+    return np.array([_x_power(j * p, m, p) for j in range(d)], dtype=np.int64).T
 
 
 def _is_irreducible(m, p):
-    """Monic m irreducible over F_p.
-
-    Checks X^{p^d} == X mod m together with gcd(X^{p^{d/l}} - X, m) = 1 for
-    every prime l dividing d; equivalently gcd(X^{p^t} - X, m) trivial for
-    all proper divisors t of d.
-    """
+    """Monic m irreducible over F_p, by Berlekamp's criterion on
+    A = F_p[X]/(m): A is a field exactly when its Frobenius Q is injective
+    (A has no nilpotents, so m is squarefree) and fixes only F_p (a
+    squarefree m has as many irreducible factors as Q - I has kernel
+    dimensions).  rank(Q - I) goes first: one elimination rejects most
+    reducible m."""
     d = len(m) - 1
-    if d == 1:
-        return True
-    x = (0, 1)
-    xp = x
-    powers = {}
-    for k in range(1, d + 1):
-        xp = _p_frob(xp, m, p)
-        powers[k] = xp
-    if powers[d] != _pmod(x, m, p):
-        return False
-    for ell in factorize(d):
-        t = d // ell
-        diff = _padd(powers[t], tuple((-c) % p for c in x), p)
-        if len(_pgcd_monic(m, diff, p)) > 1:
-            return False
-    return True
+    Q = _frobenius_matrix(m, p)
+    return (len(rref_modp(Q - np.eye(d, dtype=np.int64), p)[1]) == d - 1
+            and len(rref_modp(Q, p)[1]) == d)
 
 
 def _lex_smallest_irreducible(p, d):
@@ -162,7 +157,7 @@ def _lex_smallest_irreducible(p, d):
     if d == 1:
         return (0, 1)  # X itself
     # c_0 = 0 would make X a factor, so start past that block; reject
-    # linear roots cheaply before the Rabin test.
+    # linear roots cheaply before Berlekamp's test.
     for idx in range(p ** (d - 1), p ** d):
         coeffs = tuple((idx // p ** (d - 1 - i)) % p for i in range(d))
         m = coeffs + (1,)
@@ -205,34 +200,13 @@ class FieldTower:
         self.generator = p % self.order if d > 1 else (-self.modulus[0]) % p
         self._pw = tuple(p ** i for i in range(d))
         # reduction rows: coords of g^(d+t) for t = 0..d-2, for fallback mul
-        red = []
-        cur = self._raw_x_power(d)
-        for _ in range(max(d - 1, 0)):
-            red.append(cur)
-            cur = self._shift_reduce(cur)
-        self._red = red
+        self._red = [_x_power(d + t, self.modulus, p) for t in range(d - 1)]
         self._tables = None
         self._frob_exp = None
         self._lazy = {}
         self._check_construction()
 
     # ---- construction helpers -------------------------------------------
-
-    def _raw_x_power(self, k):
-        """coords of g^k straight from the modulus (no mul needed)."""
-        f = _pmod((0,) * k + (1,), self.modulus, self.p)
-        return tuple(f) + (0,) * (self.degree - len(f))
-
-    def _shift_reduce(self, coords):
-        """coords of g*x given coords of x (fallback path)."""
-        p, d = self.p, self.degree
-        top = coords[d - 1]
-        out = [0] + list(coords[:d - 1])
-        if top:
-            m = self.modulus
-            for j in range(d):
-                out[j] = (out[j] - top * m[j]) % p
-        return tuple(out)
 
     def _check_construction(self):
         # power basis of g spans over F_q: the change-of-basis matrix over
@@ -372,14 +346,20 @@ class FieldTower:
                 self._frob_exp = tuple(pow(self.q, j, self.order - 1)
                                        for j in range(self.n))
             return int(exp[(int(log[x]) * self._frob_exp[i]) % (self.order - 1)])
-        return self.pow(x, pow(self.q, i, self.order - 1))
+        return self._apply(self.frob_q_matrix(i), x)
 
     def frobenius_p(self, x: int, i: int = 1) -> int:
         """x^(p^i)."""
         i %= self.degree
         if x == 0 or i == 0:
             return x
-        return self.pow(x, pow(self.p, i, self.order - 1))
+        if self.tables is not None:
+            return self.pow(x, pow(self.p, i, self.order - 1))
+        return self._apply(self.frob_p_matrix(i), x)
+
+    def _apply(self, M, x: int) -> int:
+        """The element with coordinates M @ coords(x)."""
+        return self.element(_matmul_modp(M, np.array(self.coords(x)), self.p).tolist())
 
     def rel_trace(self, x: int) -> int:
         """Trace from F_{q^n} onto the embedded F_q: x + x^q + ... + x^{q^{n-1}}."""
@@ -450,12 +430,9 @@ class FieldTower:
     def mult_matrix(self, a: int) -> np.ndarray:
         """d x d matrix over F_p of y -> a*y, columns indexed by power basis:
         sum_j a_j Mult(g^j) for the coordinates a_j of a."""
-        p, d = self.p, self.degree
-        # the sum of d products of residues, in Python ints past int64
-        dtype = np.int64 if d * (p - 1) ** 2 < 1 << 63 else object
-        c = np.array(self.coords(a), dtype=dtype)
-        M = c @ self.mult_powers.reshape(d, d * d).astype(dtype, copy=False) % p
-        return M.astype(np.int64).reshape(d, d)
+        d = self.degree
+        return _matmul_modp(np.array(self.coords(a)),
+                            self.mult_powers.reshape(d, d * d), self.p).reshape(d, d)
 
     def _build_tables(self):
         Q, d, p = self.order, self.degree, self.p
@@ -520,13 +497,18 @@ class FieldTower:
         return c % self.p
 
     def frob_p_matrix(self, i: int = 1) -> np.ndarray:
-        """d x d F_p matrix of the i-fold p-power Frobenius."""
-        key = ("frobp", i % self.degree)
+        """d x d F_p matrix of the i-fold p-power Frobenius: Q^i, for Q the
+        matrix of x -> x^p (column j the coordinates of g^(jp)), cached
+        power by power."""
+        i %= self.degree
+        key = ("frobp", i)
         if key not in self._lazy:
-            d = self.degree
-            M = np.zeros((d, d), dtype=np.int64)
-            for j in range(d):
-                M[:, j] = self.coords(self.frobenius_p(self.pow(self.generator, j), i))
+            if i == 0:
+                M = np.eye(self.degree, dtype=np.int64)
+            elif i == 1:
+                M = _frobenius_matrix(self.modulus, self.p)
+            else:
+                M = _matmul_modp(self.frob_p_matrix(i - 1), self.frob_p_matrix(1), self.p)
             self._lazy[key] = M
         return self._lazy[key]
 
@@ -647,6 +629,13 @@ class FieldTower:
 # ----------------------------------------------------------------------------
 # exact mod-p linear algebra: one Gauss-Jordan and its uses
 # ----------------------------------------------------------------------------
+
+def _matmul_modp(a, b, p):
+    """a @ b mod p for residue arrays, as int64: the sum of inner-dimension
+    products of residues runs in Python ints (object dtype) past int64."""
+    dtype = np.int64 if a.shape[-1] * (p - 1) ** 2 < 1 << 63 else object
+    return (a.astype(dtype, copy=False) @ b.astype(dtype, copy=False) % p).astype(np.int64)
+
 
 def _residue_dtype(p):
     """int64 while the product of two residues fits it, Python ints (object

@@ -126,6 +126,19 @@ def _ms(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
 
 
+def _not_mrd(code: SupportCode, method: str, f: LinPoly, scanned: int, t0: float,
+             **extra) -> Certificate:
+    """The NOT_MRD certificate of `code` with witness codeword f, once the
+    q-circulant elimination re-validates that f has kernel dimension >= k;
+    `extra` joins the witness."""
+    kd = f.kernel_dim()
+    if kd < code.k:
+        raise RuntimeError(f"{method} witness has kernel dimension {kd} < k = {code.k}")
+    witness = {**extra, "codeword": f.to_json(), "kernel_dim": kd}
+    return Certificate(code.descriptor(), VERDICT_NOT_MRD, method, witness, scanned,
+                       code.tower.descriptor(), _ms(t0))
+
+
 # ----------------------------------------------------------------------------
 # gcd pre-filter
 # ----------------------------------------------------------------------------
@@ -240,13 +253,7 @@ def exhaustive_scan(code: SupportCode, budget: int = DEFAULT_BUDGET,
     _, raw, _ = sweep.representatives(lead, ch[6] + bad, 1)
     coeffs = _batch.rep_to_coefficients(t, k, lead, int(raw[0]))
     f = LinPoly.from_support(t, exps, coeffs)
-    kd = f.kernel_dim()
-    if kd < k:
-        raise RuntimeError("scan witness failed Dickson re-validation")
-    witness = {"codeword": f.to_json(), "kernel_dim": kd}
-    return Certificate(code.descriptor(), VERDICT_NOT_MRD, "scan", witness,
-                       sweep.lead_offset(lead) + int(raw[0]) + 1,
-                       t.descriptor(), _ms(t0))
+    return _not_mrd(code, "scan", f, sweep.lead_offset(lead) + int(raw[0]) + 1, t0)
 
 
 # ----------------------------------------------------------------------------
@@ -292,14 +299,8 @@ def trinomial_criterion(tower, workers: int = 1) -> Certificate:
     bad_t = tw.element_at(first)
     z1, z2 = _trace_zero_kernel_pair(tw, bad_t)
     f = _codeword_from_h_point(tw, z1, z2)
-    kd = f.kernel_dim()
-    if kd < 3:
-        raise RuntimeError("trinomial witness failed Dickson re-validation")
-    witness = {"t": tw.coords(bad_t),
-               "trace_zero_roots": [tw.coords(z1), tw.coords(z2)],
-               "codeword": f.to_json(), "kernel_dim": kd}
-    return Certificate(code.descriptor(), VERDICT_NOT_MRD, "trinomial", witness,
-                       first + 1, tw.descriptor(), _ms(t0))
+    return _not_mrd(code, "trinomial", f, first + 1, t0, t=tw.coords(bad_t),
+                    trace_zero_roots=[tw.coords(z1), tw.coords(z2)])
 
 
 def _t_histogram(tower) -> np.ndarray:
@@ -550,15 +551,9 @@ def classify(tower, k: int, budget: int = DEFAULT_BUDGET,
 
 def _gcd_certificate(tower, T) -> Certificate:
     t0 = time.perf_counter()
-    code = SupportCode(tower, T, 1)
     f, pair = gcd_filter_witness(tower, T)
-    kd = f.kernel_dim()
-    if kd < code.k:
-        raise RuntimeError("gcd witness failed Dickson re-validation")
-    witness = {"codeword": f.to_json(), "kernel_dim": kd,
-               "pair": list(pair), "gcd": math.gcd(pair[1] - pair[0], tower.n)}
-    return Certificate(code.descriptor(), VERDICT_NOT_MRD, "witness", witness,
-                       0, tower.descriptor(), _ms(t0))
+    return _not_mrd(SupportCode(tower, T, 1), "witness", f, 0, t0, pair=list(pair),
+                    gcd=math.gcd(pair[1] - pair[0], tower.n))
 
 
 def decide(code: SupportCode, budget: int = DEFAULT_BUDGET,

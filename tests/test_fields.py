@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mrdcodes import _batch, _linalg
+from mrdcodes import _batch, _linalg, fields
 from mrdcodes.fields import (MR_EXACT_BELOW, CapExceeded, factorize, inverse_modp,
                              is_prime, make_tower, nullspace_modp, rref_modp,
                              solve_modp, tower_from_descriptor)
@@ -571,3 +572,82 @@ def test_fq_span_rows_against_q_coords(pen):
         qrows = [sum((list(t.q_coords(x)) for x in v), []) for v in xs]
         fq_rank = _linalg.rank(t, qrows, b * t.n)
         assert len(rref_modp(rows, t.p)[1]) == t.e * fq_rank
+
+
+def _trial_division_irreducible(m, p):
+    """Monic m over F_p (constant term first) has no monic factor of degree
+    1 to deg(m)/2, by long division."""
+    def divides(g, f):
+        r = list(f)
+        for top in range(len(r) - 1, len(g) - 2, -1):
+            c = r[top] % p
+            if c:
+                for j in range(len(g)):
+                    r[top - len(g) + 1 + j] -= c * g[j]
+        return not any(v % p for v in r[:len(g) - 1])
+
+    d = len(m) - 1
+    return not any(divides(low + (1,), m) for k in range(1, d // 2 + 1)
+                   for low in itertools.product(range(p), repeat=k))
+
+
+@pytest.mark.parametrize("p, d_max", [(2, 8), (3, 5), (5, 3), (7, 3)])
+def test_berlekamp_irreducibility_against_trial_division(p, d_max):
+    # rank(Q - I) = d - 1 and rank Q = d against the definition, on every
+    # monic polynomial of degree 1 to d_max
+    from mrdcodes.fields import _is_irreducible
+    for d in range(1, d_max + 1):
+        for low in itertools.product(range(p), repeat=d):
+            m = low + (1,)
+            assert _is_irreducible(m, p) == _trial_division_irreducible(m, p), m
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 7), (3, 1, 7), (2, 2, 4), (2, 1, 9),
+                                 (5, 1, 5), (3, 2, 3)])
+def test_modulus_is_lex_smallest_by_trial_division(pen):
+    p, e, n = pen
+    want = next(low + (1,) for low in itertools.product(range(p), repeat=e * n)
+                if _trial_division_irreducible(low + (1,), p))
+    assert make_tower(*pen).modulus == want
+
+
+@pytest.mark.parametrize("tables", [True, False])
+@pytest.mark.parametrize("pen", [(2, 1, 6), (2, 2, 3), (2, 3, 2), (3, 2, 2),
+                                 (5, 1, 3), (7, 1, 2)])
+def test_frob_p_matrix_against_scalar_frobenius(pen, tables, request):
+    # column j of frob_p_matrix(i) is g^j raised to p^i, by frobenius_p and
+    # by the scalar power (Zech tables, or square-and-multiply without them)
+    if not tables:
+        request.getfixturevalue("no_tables")
+    t = make_tower(*pen)
+    assert (t.tables is not None) == tables
+    powers = [t.pow(t.generator, j) for j in range(t.degree)]
+    for i in range(t.degree + 1):
+        M = t.frob_p_matrix(i)
+        assert M.dtype == np.int64 and M.shape == (t.degree, t.degree)
+        for j, x in enumerate(powers):
+            assert M[:, j].tolist() == t.coords(t.frobenius_p(x, i)) \
+                == t.coords(t.pow(x, t.p ** i))
+    assert np.array_equal(t.frob_p_matrix(1), t.frob_p_matrix(t.degree + 1))
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 7), (3, 1, 5), (2, 2, 4), (2, 3, 3), (5, 2, 2)])
+def test_frobenius_without_tables_matches_tables(pen, monkeypatch):
+    with_tables = fields.FieldTower(*pen)
+    assert with_tables.tables is not None
+    monkeypatch.setattr(fields, "TABLE_CAP", 0)
+    bare = fields.FieldTower(*pen)
+    gen = random.Random(sum(pen))
+    for _ in range(40):
+        x, i = gen.randrange(bare.order), gen.randrange(-1, bare.degree + 2)
+        assert bare.frobenius_p(x, i) == with_tables.frobenius_p(x, i)
+        assert bare.frobenius_q(x, i) == with_tables.frobenius_q(x, i)
+    assert bare._tables is None
+
+
+def test_frob_p_matrix_builds_no_tables():
+    # 5^9 elements is below TABLE_CAP, so touching the tables would build them
+    t = fields.FieldTower(5, 1, 9)
+    assert t.order <= fields.TABLE_CAP
+    t.frob_p_matrix(3)
+    assert t._tables is None
