@@ -14,10 +14,13 @@ import json
 import os
 import sys
 
-from . import curves, moore, verify
-from .codes import SupportCode, adjoint_support, dual_support, named_family
-from .fields import factorize, make_tower
-from .linpoly import LinPoly
+# Set before numpy loads: the engines never call BLAS, so its thread pool would only idle.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import curves, moore, verify  # noqa: E402
+from .codes import SupportCode, adjoint_support, dual_support, named_family  # noqa: E402
+from .fields import factorize, make_tower  # noqa: E402
+from .linpoly import LinPoly  # noqa: E402
 
 DEFAULT_CATALOG = "mrd_catalog.jsonl"
 

@@ -94,28 +94,35 @@ def count_V_cap_W(tower) -> int:
     is zero whenever n is odd and equals the closure count when n is even;
     see count_V_cap_W_closure for the field-independent value.
     """
+    t = tower
+    return t.q * sum(_v_cap_w_on_lines(t, idx, _line_maps(t, idx, 2))
+                     for idx in _x_blocks(t))
+
+
+def _v_cap_w_on_lines(tower, idx, mw) -> int:
+    """Points of V cap W on the lines through the x of canonical indices
+    idx, mw their maps M_W: V at each y of ker M_W(x), by the closed form."""
     t, p, d = tower, tower.p, tower.degree
     if t.tables is None:
         raise CapExceeded(f"V needs Zech tables; the field of {t.order} "
                           "elements exceeds TABLE_CAP")
     packing = p ** np.arange(d, dtype=np.int64)
     delta = (t.frob_q_matrix(1) - np.eye(d, dtype=np.int64)).T % p   # z -> z^q - z on rows
+    ranks, kernels = _batch.batch_kernels(mw, p)
+    u = _batch.element_coord_columns(idx, p, d) @ delta % p @ packing
+    dims = d - ranks
     count = 0
-    for idx in _x_blocks(t):
-        ranks, kernels = _batch.batch_kernels(_line_maps(t, idx, 2), p)
-        u = _batch.element_coord_columns(idx, p, d) @ delta % p @ packing
-        dims = d - ranks
-        for k in np.unique(dims).tolist():
-            sel = np.flatnonzero(dims == k)
-            basis_v = kernels[sel, :k] @ delta % p            # v of the basis vectors
-            step = max(1, POINT_BLOCK // sel.size)
-            for start in range(0, p ** k, step):
-                combos = _batch.element_coord_columns(
-                    np.arange(start, min(start + step, p ** k), dtype=np.int64), p, k)
-                v = combos @ basis_v % p @ packing           # (len(sel), len(combos))
-                uu = np.broadcast_to(u[sel][:, None], v.shape)
-                count += int((_v_closed(t, uu, v) == 0).sum())
-    return t.q * count
+    for k in np.unique(dims).tolist():
+        sel = np.flatnonzero(dims == k)
+        basis_v = kernels[sel, :k] @ delta % p            # v of the basis vectors
+        step = max(1, POINT_BLOCK // sel.size)
+        for start in range(0, p ** k, step):
+            combos = _batch.element_coord_columns(
+                np.arange(start, min(start + step, p ** k), dtype=np.int64), p, k)
+            v = combos @ basis_v % p @ packing           # (len(sel), len(combos))
+            uu = np.broadcast_to(u[sel][:, None], v.shape)
+            count += int((_v_closed(t, uu, v) == 0).sum())
+    return count
 
 
 def count_V_cap_W_closure(tower) -> int:
@@ -199,11 +206,11 @@ def _x_blocks(tower):
 
 
 def _line_ranks(tower):
-    """(idx, rank M_H, rank [M_H; M_W]) over the coset minima of `_x_blocks`,
-    by one elimination of [M_H; M_W] per block of x."""
+    """(idx, M_W, rank M_H, rank [M_H; M_W]) over the coset minima of
+    `_x_blocks`, by one elimination of [M_H; M_W] per block of x."""
     for idx in _x_blocks(tower):
         mh, mw = (_line_maps(tower, idx, j) for j in (3, 2))
-        yield (idx, *_batch.stacked_ranks(mh, mw, tower.p))
+        yield (idx, mw, *_batch.stacked_ranks(mh, mw, tower.p))
 
 
 def _h_off_w(tower, xpos: int) -> np.ndarray:
@@ -234,7 +241,7 @@ def mrd_via_curve(tower):
     t0 = time.perf_counter()
     t = tower
     code = SupportCode(t, (0, 1, 3), 1)
-    for idx, rank_h, rank_hw in _line_ranks(t):
+    for idx, _, rank_h, rank_hw in _line_ranks(t):
         bad = np.flatnonzero(rank_hw > rank_h)
         if bad.size:
             xpos = int(idx[bad[0]])
@@ -257,10 +264,9 @@ def curve_report(tower) -> CurveCount:
     against the trinomial-criterion verdict."""
     from .verify import trinomial_criterion, VERDICT_MRD
     t = tower
-    affine = count_V_cap_W(t)
+    affine, pts, total = _line_sweep(t)
     closure = count_V_cap_W_closure(t)
     inf = points_at_infinity(t)
-    pts, total = _h_minus_w_points(t)
     verdict = trinomial_criterion(t).verdict
     consistent = (total == 0) == (verdict == VERDICT_MRD)
     return CurveCount(q=t.q, n=t.n, affine_V_cap_W=affine,
@@ -270,16 +276,20 @@ def curve_report(tower) -> CurveCount:
                       h_minus_w_total=total, mrd_consistent=consistent)
 
 
-def _h_minus_w_points(tower):
-    """The points with H = 0 != W in packed (x, y) order, the first
-    POINT_SAMPLE_LIMIT of them, and their number: each x contributes
-    |ker M_H| - |ker M_H cap ker M_W| points, the same for the q members of
-    its coset x + F_q.  The sample expands each coset minimum with points to
-    its members and lists ker M_H minus ker M_W once per coset."""
+def _line_sweep(tower):
+    """One sweep over the coset minima for the report, each block's M_W
+    built once and serving both counts: the number of affine points of
+    V cap W (as count_V_cap_W), the points with H = 0 != W in packed (x, y)
+    order, the first POINT_SAMPLE_LIMIT of them, and their number.  Each x
+    contributes |ker M_H| - |ker M_H cap ker M_W| points, the same for the q
+    members of its coset x + F_q.  The sample expands each coset minimum
+    with points to its members and lists ker M_H minus ker M_W once per
+    coset."""
     t, p, d = tower, tower.p, tower.degree
-    total = 0
+    affine = total = 0
     minima = []
-    for idx, rank_h, rank_hw in _line_ranks(t):
+    for idx, mw, rank_h, rank_hw in _line_ranks(t):
+        affine += t.q * _v_cap_w_on_lines(t, idx, mw)
         total += t.q * int((p ** (d - rank_h) - p ** (d - rank_hw)).sum())
         minima.append(idx[rank_hw > rank_h])
     minima = np.concatenate(minima)
@@ -294,4 +304,4 @@ def _h_minus_w_points(tower):
         if c not in ys:
             ys[c] = np.sort(_h_off_w(t, int(minima[c])) @ packing)
         pts += [(int(xs.flat[i]), int(y)) for y in ys[c][:POINT_SAMPLE_LIMIT - len(pts)]]
-    return pts, total
+    return affine, pts, total

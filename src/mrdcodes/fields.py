@@ -156,13 +156,14 @@ def _lex_smallest_irreducible(p, d):
     compared lexicographically, constant term first."""
     if d == 1:
         return (0, 1)  # X itself
-    # c_0 = 0 would make X a factor, so start past that block; reject
-    # linear roots cheaply before Berlekamp's test.
+    # c_0 = 0 would make X a factor, so start past that block.  Berlekamp's
+    # test alone decides; a root among 1..15 rejects a candidate more
+    # cheaply, and the fixed bound keeps that prefilter's cost flat in p.
     for idx in range(p ** (d - 1), p ** d):
         coeffs = tuple((idx // p ** (d - 1 - i)) % p for i in range(d))
         m = coeffs + (1,)
         if any(sum(c * pow(r, i, p) for i, c in enumerate(m)) % p == 0
-               for r in range(1, p)):
+               for r in range(1, min(p, 16))):
             continue
         if _is_irreducible(m, p):
             return m

@@ -1,9 +1,15 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mrdcodes
 from mrdcodes import cli
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -152,3 +158,58 @@ def test_workers_flag(tmp_path, capsys):
     rc, out = run(capsys, "verify", "--q", "2", "--n", "6", "--T", "0,1,2",
                   "--workers", "2", "--catalog", cat)
     assert rc == 0 and json.loads(out)["verdict"] == "MRD"
+
+
+# ---- start-up, each in a fresh interpreter -----------------------------------
+
+def fresh(*args, **env):
+    """Run the interpreter with args, importing mrdcodes from the checkout's
+    src/, with OPENBLAS_NUM_THREADS removed from its environment and env
+    added."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], env={**environ, **env},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="threads are counted in /proc/self/task")
+def test_cli_import_starts_one_thread():
+    # the engines never call BLAS; numpy's OpenBLAS pool would add a thread
+    assert fresh("-c", "import os, mrdcodes.cli; "
+                       "print(len(os.listdir('/proc/self/task')))") == "1"
+
+
+@pytest.mark.parametrize("env, want", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+def test_cli_keeps_a_set_blas_thread_count(env, want):
+    assert fresh("-c", "import os, mrdcodes.cli; "
+                       "print(os.environ['OPENBLAS_NUM_THREADS'])", **env) == want
+
+
+def test_bare_import_loads_no_numpy():
+    assert fresh("-c", "import sys, mrdcodes; print('numpy' in sys.modules)") == "False"
+
+
+def test_lazy_names_resolve():
+    out = json.loads(fresh("-c", """if True:
+        import json, pkgutil, sys, mrdcodes
+        subs = [m.name for m in pkgutil.iter_modules(mrdcodes.__path__)]
+        mods = {m: getattr(mrdcodes, m) is sys.modules["mrdcodes." + m] for m in subs}
+        names = {n: any(getattr(sys.modules["mrdcodes." + m], n, None)
+                        is getattr(mrdcodes, n) for m in subs)
+                 for n in mrdcodes.__all__}
+        print(json.dumps([subs, mods, names]))"""))
+    subs, mods, names = out
+    assert {"cli", "codes", "curves", "fields", "verify"} <= set(subs)
+    assert all(mods.values()) and all(names.values())
+    assert len(names) == 19    # every name the eager imports exported
+    with pytest.raises(AttributeError):
+        mrdcodes.no_such_name
+
+
+def test_cli_runs_as_a_process():
+    out = fresh("-m", "mrdcodes.cli", "dual", "--n", "7", "--T", "0,1,3")
+    assert json.loads(out)["T"] == [2, 4, 5, 6]

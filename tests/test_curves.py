@@ -171,7 +171,7 @@ def pair_sweep(t):
 
 
 def pair_points(t):
-    """Reference for _h_minus_w_points: the points with H = 0 != W in packed
+    """Reference for _line_sweep: the points with H = 0 != W in packed
     (x, y) order, the first POINT_SAMPLE_LIMIT of them, and their number."""
     rows = CurveRows(t)
     pts, total = [], 0
@@ -412,8 +412,11 @@ def test_mrd_via_curve_without_tables(request):
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 7), (2, 1, 8), (3, 1, 6), (2, 2, 6), (3, 1, 5)])
 def test_h_minus_w_points_match_pair_points(p, e, n):
+    # the report's one sweep also gives the standalone V cap W count
     t = make_tower(p, e, n)
-    assert curves._h_minus_w_points(t) == pair_points(t)
+    affine, pts, total = curves._line_sweep(t)
+    assert (pts, total) == pair_points(t)
+    assert affine == curves.count_V_cap_W(t)
 
 
 def test_curve_report_consistency():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -609,6 +610,21 @@ def test_modulus_is_lex_smallest_by_trial_division(pen):
     want = next(low + (1,) for low in itertools.product(range(p), repeat=e * n)
                 if _trial_division_irreducible(low + (1,), p))
     assert make_tower(*pen).modulus == want
+
+
+def test_modulus_search_is_flat_in_p():
+    # at p = 1048573 a prefilter over every root 1..p-1 took seconds per
+    # candidate; Euler's criterion is the oracle: X^2 + bX + c is
+    # irreducible exactly when b^2 - 4c is a non-residue mod p
+    p = 1048573
+    t0 = time.perf_counter()
+    m = fields._lex_smallest_irreducible(p, 2)
+    assert time.perf_counter() - t0 < 0.1
+
+    def irreducible(c, b):
+        return pow((b * b - 4 * c) % p, (p - 1) // 2, p) == p - 1
+    assert m == (1, 3, 1)
+    assert irreducible(1, 3) and not any(irreducible(1, b) for b in range(3))
 
 
 @pytest.mark.parametrize("tables", [True, False])
