@@ -327,13 +327,7 @@ class FieldTower:
         if t is not None:
             exp, log = t
             return int(exp[(int(log[a]) * k) % (self.order - 1)])
-        r = 1
-        while k:
-            if k & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return r
+        return self._pow_fallback(a, k)
 
     def frobenius_q(self, x: int, i: int = 1) -> int:
         """x^(q^i), exponent reduced mod n."""
@@ -368,17 +362,6 @@ class FieldTower:
         y = x
         for _ in range(self.n):
             acc = self.add(acc, y)
-            y = self.frobenius_q(y, 1)
-        return acc
-
-    def rel_norm(self, x: int) -> int:
-        """Norm from F_{q^n} onto the embedded F_q: x^(1+q+...+q^{n-1})."""
-        if x == 0:
-            return 0
-        acc = 1
-        y = x
-        for _ in range(self.n):
-            acc = self.mul(acc, y)
             y = self.frobenius_q(y, 1)
         return acc
 
@@ -490,9 +473,6 @@ class FieldTower:
         """All q elements of the embedded F_q, canonical order."""
         return self.fixed_field(self.e)
 
-    def in_subfield_q(self, x: int) -> bool:
-        return self.frobenius_q(x, 1) == x
-
     def embed_fp(self, c: int) -> int:
         """The prime-field constant c*1 as a field element."""
         return c % self.p
@@ -593,9 +573,6 @@ class FieldTower:
             raise CapExceeded(f"field of {self.order} elements exceeds ENUM_CAP")
         for m in range(self.order):
             yield self.element_at(m)
-
-    def enumerate_subfield_q(self):
-        yield from self.subfield_elements
 
     def elements_array(self) -> np.ndarray:
         """Packed values in canonical order (numpy, cached)."""

@@ -184,21 +184,21 @@ class LinPoly:
         t = self.tower
         if t.order > 1 << 20:
             raise CapExceeded("field too large for brute-force roots")
-        if t.tables is not None:
-            # vectorized evaluation over the whole field
-            elems = t.elements_array()
-            exp, log = t.tables
-            acc = np.zeros_like(elems)
-            Qm1 = t.order - 1
-            for i, c in enumerate(self.coeffs):
-                if not c:
-                    continue
-                lx = log[elems]
-                val = np.where(elems == 0, 0,
-                               exp[(lx * pow(t.q, i, Qm1) + int(log[c])) % Qm1])
-                acc = _batch.vec_add(t, acc, val)
-            return set(int(v) for v in elems[acc == 0])
-        return {x for x in t.enumerate_field() if self.eval(x) == 0}
+        if t.tables is None:
+            raise CapExceeded("brute-force roots need the Zech tables")
+        # vectorized evaluation over the whole field
+        elems = t.elements_array()
+        exp, log = t.tables
+        acc = np.zeros_like(elems)
+        Qm1 = t.order - 1
+        for i, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            lx = log[elems]
+            val = np.where(elems == 0, 0,
+                           exp[(lx * pow(t.q, i, Qm1) + int(log[c])) % Qm1])
+            acc = _batch.vec_add(t, acc, val)
+        return set(int(v) for v in elems[acc == 0])
 
     # ---- serialization ----------------------------------------------------------
 

@@ -114,7 +114,7 @@ def v_closed(tower, x: int, y: int) -> int:
         prod = t.pow(u, q * q - q)
     else:
         r = t.mul(u, t.inv(v))
-        if t.in_subfield_q(r):
+        if t.frobenius_q(r, 1) == r:
             prod = t.pow(v, q * q - q)
         else:
             num = t.sub(t.pow(u, q * q), t.mul(u, t.pow(v, q * q - 1)))
@@ -324,7 +324,7 @@ def test_infinity_multiplicity():
     for q_p in (2, 3):
         t2 = make_tower(q_p, 1, 2)
         q = t2.q
-        gammas = [g for g in t2.enumerate_field() if not t2.in_subfield_q(g)]
+        gammas = [g for g in t2.enumerate_field() if t2.frobenius_q(g, 1) != g]
 
         def polymul(a, b):
             out = [0] * (len(a) + len(b) - 1)

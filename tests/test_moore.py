@@ -5,11 +5,11 @@ import random
 import pytest
 
 from mrdcodes import verify
-from mrdcodes.codes import gabidulin, named_family
+from mrdcodes.codes import SupportCode, gabidulin, named_family
 from mrdcodes.fields import make_tower
 from mrdcodes.linpoly import LinPoly
-from mrdcodes.moore import (fq_rank, independence_criterion, moore_det,
-                            moore_matrix, moore_product_formula, mrd_by_moore)
+from mrdcodes.moore import (fq_rank, moore_det, moore_matrix,
+                            moore_product_formula, mrd_by_moore)
 
 rng = random.Random(0x300E)
 
@@ -26,7 +26,7 @@ def test_singletons_and_repeats():
 
 def test_dependence_iff_zero_exhaustive():
     # every subset A with k <= 3, every T of matching size, every valid s
-    for (p, n) in ((2, 3), (2, 4)):
+    for (p, n) in ((2, 3), (2, 4), (3, 3)):
         t = make_tower(p, 1, n)
         elems = list(t.enumerate_field())
         svals = [s for s in range(1, n) if math.gcd(s, n) == 1]
@@ -59,19 +59,6 @@ def test_product_formula_matches_det_random():
         assert moore_product_formula(t, A) == moore_det(t, A, range(k), 1)
 
 
-def test_independence_criterion():
-    t = make_tower(3, 1, 3)
-    assert independence_criterion(t, [0], 1) is False
-    basis = list(t.q_basis)
-    assert independence_criterion(t, basis, 1) is True
-    dep = [1, t.generator, t.add(1, t.generator)]   # 1 + g - (1+g) = 0
-    assert independence_criterion(t, dep, 1) is False
-    for _ in range(100):
-        k = rng.choice([1, 2, 3])
-        A = [rng.randrange(t.order) for _ in range(k)]
-        assert independence_criterion(t, A, 1) == (fq_rank(t, A) == k)
-
-
 def test_moore_matrix_shape():
     t = make_tower(2, 1, 5)
     A = [1, t.generator, 7]
@@ -83,14 +70,14 @@ def test_moore_matrix_shape():
 def test_mrd_by_moore_gabidulin():
     t = make_tower(2, 1, 5)
     cert = mrd_by_moore(gabidulin(t, 2, 1))
-    assert cert.verdict == "MRD"
+    assert (cert.verdict, cert.scanned) == ("MRD", 155)   # [5 2]_2
     assert mrd_by_moore(gabidulin(t, 1, 1)).verdict == "MRD"
 
 
 def test_mrd_by_moore_refutes_and_witnesses():
     t = make_tower(2, 1, 7)
     cert = mrd_by_moore(named_family("C7", t))
-    assert cert.verdict == "NOT_MRD"
+    assert (cert.verdict, cert.scanned) == ("NOT_MRD", 31)
     assert verify.validate_certificate(cert)
     assert cert.witness["T"] == [0, 1, 3]
     A = [t.element_from_json(a) for a in cert.witness["A"]]
@@ -105,7 +92,6 @@ def test_mrd_by_moore_agrees_with_scan():
     for (p, n, T) in ((2, 4, (0, 1)), (2, 5, (0, 2)), (2, 6, (0, 2, 4)),
                       (2, 6, (0, 1, 3)), (3, 4, (0, 1))):
         t = make_tower(p, 1, n)
-        from mrdcodes.codes import SupportCode
         code = SupportCode(t, T, 1)
         a = mrd_by_moore(code)
         b = verify.exhaustive_scan(code)
@@ -118,11 +104,28 @@ def test_budget_unknown():
     assert cert.verdict == "UNKNOWN"
 
 
-def test_budget_counts_dependent_sets():
-    # PG(3,2) has 455 triples of points, 420 of them independent: a budget
-    # of 420 lets every independent triple through but not the 35 lines
-    t = make_tower(2, 1, 4)
-    code = gabidulin(t, 3, 1)
-    assert mrd_by_moore(code, budget=455).scanned == 420
-    cert = mrd_by_moore(code, budget=420)
-    assert cert.verdict == "UNKNOWN" and cert.scanned < 420
+def test_budget_counts_subspaces():
+    # F_2^4 has 15 subspaces of dimension 3: a budget of 14 stops one short
+    code = gabidulin(make_tower(2, 1, 4), 3, 1)
+    cert = mrd_by_moore(code)
+    assert (cert.verdict, cert.scanned) == ("MRD", 15)
+    cert = mrd_by_moore(code, budget=14)
+    assert (cert.verdict, cert.scanned) == ("UNKNOWN", 14)
+
+
+@pytest.mark.parametrize("p,e,n,T,subspaces", [
+    (2, 1, 5, (0, 1, 3), 155), (3, 1, 4, (0, 1), 130), (2, 2, 5, (0, 1), 5797)])
+def test_mrd_scans_gaussian_binomial(p, e, n, T, subspaces):
+    # an MRD sweep checks each of the [n k]_q subspaces once
+    cert = mrd_by_moore(SupportCode(make_tower(p, e, n), T, 1))
+    assert (cert.verdict, cert.scanned) == ("MRD", subspaces)
+    assert verify.validate_certificate(cert)
+
+
+def test_subspace_witness_at_q3_n9():
+    # one of the n = 9, k = 4 supports the scan cannot finish at q = 3
+    t = make_tower(3, 1, 9)
+    cert = mrd_by_moore(SupportCode(t, (0, 1, 3, 7), 1), budget=20_000)
+    assert (cert.verdict, cert.scanned) == ("NOT_MRD", 17_418)
+    assert cert.witness["kernel_dim"] >= 4
+    assert verify.validate_certificate(cert)

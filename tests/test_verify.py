@@ -328,9 +328,9 @@ def test_forged_certificates_rejected():
     # C7 is NOT_MRD at q=2; MRD claims with the full counts must still fail
     t = make_tower(2, 1, 7)
     desc, tower = named_family("C7", t).descriptor(), t.descriptor()
-    ksets = 127 * 126 * 124 // 6  # unordered independent triples of points
+    subspaces = 11_811  # [7 3]_2
     for method, scanned in (("trinomial", 2 ** 7), ("curve", 2 ** 14),
-                            ("moore", ksets), ("oracle", 0)):
+                            ("moore", subspaces), ("oracle", 0)):
         forged = verify.Certificate(desc, "MRD", method, None, scanned, tower, 0.0)
         assert not verify.validate_certificate(forged), method
     # right counts on an MRD code, but a method that cannot decide it
