@@ -59,6 +59,25 @@ def test_product_formula_matches_det_random():
         assert moore_product_formula(t, A) == moore_det(t, A, range(k), 1)
 
 
+def test_independence_criterion():
+    # A is F_q-independent iff the square Moore determinant with
+    # T = {0..k-1} is nonzero
+    t = make_tower(3, 1, 3)
+
+    def independent(A):
+        return moore_det(t, A, range(len(A)), 1) != 0
+
+    assert independent([0]) is False
+    basis = list(t.q_basis)
+    assert independent(basis) is True
+    dep = [1, t.generator, t.add(1, t.generator)]   # 1 + g - (1+g) = 0
+    assert independent(dep) is False
+    for _ in range(100):
+        k = rng.choice([1, 2, 3])
+        A = [rng.randrange(t.order) for _ in range(k)]
+        assert independent(A) == (fq_rank(t, A) == k)
+
+
 def test_moore_matrix_shape():
     t = make_tower(2, 1, 5)
     A = [1, t.generator, 7]
