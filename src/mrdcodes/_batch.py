@@ -7,13 +7,16 @@ coordinate rows A (batch x k*d) and the precomputed block matrix L
 code's maps come from the same L on the full support {0, ..., n-1}, taken
 on the F_q-span of its basis (codes.GeneralCode.min_distance), so
 SupportBlockMatrix is the one block matrix, and its ranks() is the one
-entry of the rank sweeps.  Ranks are taken by masked Gauss-Jordan
-vectorized over the batch dimension.  At p = 2 the batch dimension is
-packed into bits, eight matrices to a byte, and elimination is AND, OR and
-XOR on the packed rows (bit slicing, as in M4RI); it follows the same pivot
-rule and leaves the same reduced batch.  ranks() builds that packed batch
-without the matmul: a map entry is the XOR of the packed coordinate rows
-whose row of L has a 1 there.
+entry of the rank sweeps.  Ranks are taken by Gauss-Jordan vectorized
+over the batch dimension, which is laid out last, (r, c, B), so that every
+step is a sweep over contiguous rows of the batch.  At odd p the entries
+grow lazily between reductions mod p, in the smallest integer dtype their
+bound fits (lazy_dtype).  At p = 2 the batch dimension is packed into bits,
+eight matrices to a byte, and elimination is AND, OR and XOR on the packed
+rows (bit slicing, as in M4RI); both follow the same pivot rule and leave
+the same reduced batch.  ranks() builds that packed batch without the
+matmul: a map entry is the XOR of the packed coordinate rows whose row of
+L has a 1 there.
 
 Element order everywhere is the canonical one from fields: element #m has
 coordinates c_i = (m // p^(d-1-i)) % p.
@@ -52,10 +55,24 @@ def inverses(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def work_dtype(p: int):
-    """The dtype batch_rank eliminates in: products of two entries below p
-    must fit it, so int32, then int64, then Python ints (object) once
-    (p-1)^2 >= 2^63, the rule of fields.rref_modp."""
+    """The dtype of the residue batches batch_rank reduces in place:
+    products of two residues must fit it, so int32, then int64, then Python
+    ints (object) once (p-1)^2 >= 2^63, the rule of fields.rref_modp.  The
+    elimination itself runs in lazy_dtype(p, c)."""
     return np.int32 if (p - 1) ** 2 < 1 << 31 else _residue_dtype(p)
+
+
+def lazy_dtype(p: int, c: int):
+    """The dtype _modp_eliminate works in on matrices of c columns.  Its
+    entries start as residues and each of the c column steps subtracts at
+    most one product of two residues, so every entry stays within
+    (p-1) + c*(p-1)^2: the first of int16, int32 and int64 that holds that
+    bound, else Python ints (object)."""
+    bound = (p - 1) + c * (p - 1) ** 2
+    for dtype in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return object
 
 
 def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
@@ -63,11 +80,11 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     Destroys input.
 
     Gauss-Jordan vectorized over the batch: per column, each matrix picks its
-    first unused row with a nonzero entry, normalizes it, and clears the
-    column from every other row.  Matrices without a pivot in the column are
-    masked out of the update.  At p = 2 the same elimination runs on the
-    batch packed into bits (_gf2_gauss_jordan); every odd p takes the
-    generic loop (_gauss_jordan).
+    first unused row with a nonzero entry and clears the column from every
+    other row with it.  Both paths eliminate the batch in the batch-last
+    layout (r, c, B): at p = 2 packed into bits, eight matrices to a byte
+    (_gf2_gauss_jordan), at odd p in lazy_dtype(p, c) with the entries
+    reduced mod p only where a column is tested (_modp_gauss_jordan).
 
     A C-contiguous input of dtype work_dtype(p) is reduced in place, on both
     paths to the same batch.  Pivot rows are left unnormalized; in the
@@ -78,31 +95,47 @@ def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
     m = np.ascontiguousarray(mats, dtype=work_dtype(p))
     if p == 2:
         return _gf2_gauss_jordan(m)
-    return _gauss_jordan(m, p)
+    return _modp_gauss_jordan(m, p)
 
 
-def _gauss_jordan(m: np.ndarray, p: int) -> np.ndarray:
-    """batch_rank's elimination for any p, in place on m of dtype
-    work_dtype(p)."""
-    B, r, c = m.shape
-    used = np.zeros((B, r), dtype=bool)
-    bindex = np.arange(B)
-    tmp = np.empty_like(m)
+def _modp_gauss_jordan(m: np.ndarray, p: int) -> np.ndarray:
+    """batch_rank's elimination for any p, in place on m: transpose the
+    batch to (r, c, B) in lazy_dtype, eliminate it (_modp_eliminate), write
+    the reduced batch back."""
+    cols = np.ascontiguousarray(m.transpose(1, 2, 0), dtype=lazy_dtype(p, m.shape[2]))
+    ranks = _modp_eliminate(cols, p)
+    m[...] = cols.transpose(2, 0, 1)
+    return ranks
+
+
+def _modp_eliminate(m: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of the B matrices of residues m[:, :, b], shape (r, c, B) of
+    dtype lazy_dtype(p, c), which are reduced in place.
+
+    Entries are reduced mod p lazily: column col is reduced just before it
+    is tested, and after its step it is final, so the batch ends reduced
+    with no pass of its own.  Per column a matrix's candidate rows are its
+    unused rows with a nonzero entry there; the first one (no candidate
+    above it: a prefix OR) is its pivot row, gathered by a masked sum over
+    the rows and normalized.  Its entries left of col are zero, so only
+    columns col.. of the other rows are updated.  A matrix without a
+    candidate gathers a zero pivot row, which leaves it unchanged.
+    """
+    r, c, B = m.shape
+    used = np.zeros((r, B), dtype=bool)
     for col in range(c):
-        cand = (~used) & (m[:, :, col] != 0)
-        has = cand.any(axis=1)
-        if not has.any():
-            continue
-        sel = cand.argmax(axis=1)
-        rows = np.take_along_axis(m, sel[:, None, None], axis=1)[:, 0, :]
-        rows = rows * inverses(rows[:, col], p)[:, None] % p
-        factors = np.where(has[:, None], m[:, :, col], 0)
-        factors[bindex, sel] = 0
-        np.multiply(factors[:, :, None], rows[:, None, :], out=tmp)
-        m -= tmp
-        m %= p
-        used[bindex, sel] |= has
-    return used.sum(axis=1)
+        v = m[:, col]
+        v %= p
+        cand = (v != 0) & ~used
+        sel = cand.copy()
+        sel[1:] &= ~np.logical_or.accumulate(cand[:-1], axis=0)
+        pivot = (m[:, col:] * sel[:, None, :]).sum(axis=0, dtype=m.dtype)
+        pivot %= p
+        pivot *= inverses(pivot[0], p)
+        pivot %= p
+        m[:, col:] -= (v * ~sel)[:, None, :] * pivot
+        used |= sel
+    return used.sum(axis=0)
 
 
 def _gf2_gauss_jordan(m: np.ndarray) -> np.ndarray:
@@ -182,6 +215,15 @@ def element_coord_columns(idx: np.ndarray, p: int, d: int) -> np.ndarray:
     return out
 
 
+def distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-d array, as np.unique, which
+    imports numpy.ma (about 14 ms) the first time it runs in a process."""
+    s = np.sort(a)
+    keep = np.ones(s.shape, dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
 class SupportBlockMatrix:
     """Precomputed L with rows (i*d + j) = flatten(Mult(g^j) @ Frob(u_i)) for a
     support-code with q-exponents u_0 < ... < u_{k-1}; Mult(g^j) is the j-th
@@ -189,11 +231,12 @@ class SupportBlockMatrix:
     `rows` (m x k*d) over F_p, L is rows @ L instead: the block of the m
     codewords with those coordinates, whose F_p-combinations it maps.
 
-    ranks() is the rank sweeps' one entry.  At odd p it ranks matrices().
-    At p = 2 it never forms the int64 product: the coordinate rows are
-    packed along the batch axis, eight to a byte, and each packed map entry
-    is the XOR of the packed rows that L's boolean masks select, built
-    straight in the layout _gf2_eliminate reduces (bit slicing, as in M4RI).
+    ranks() is the rank sweeps' one entry; rep_ranks() takes the scan's
+    projective representatives to it.  At odd p it ranks matrices().  At
+    p = 2 it never forms the int64 product: the coordinate rows are packed
+    along the batch axis, eight to a byte, and each packed map entry is the
+    XOR of the packed rows that L's boolean masks select, built straight in
+    the layout _gf2_eliminate reduces (bit slicing, as in M4RI).
     """
 
     def __init__(self, tower, q_exponents, rows=None):
@@ -216,12 +259,34 @@ class SupportBlockMatrix:
         """Ranks over F_p of matrices(coeff_coords)."""
         if self.tower.p != 2:
             return batch_rank(self.matrices(coeff_coords), self.tower.p)
-        d = self.d
         packed = np.packbits(coeff_coords.T.astype(np.uint8), axis=1)
-        bits = np.zeros((d * d, packed.shape[1]), dtype=np.uint8)
-        for mask, row in zip(self._masks, packed):
+        return self._xor_ranks(zip(self._masks, packed), coeff_coords.shape[0])
+
+    def rep_ranks(self, lead, tails) -> np.ndarray:
+        """ranks(projective_coords(tower, lead, tails)).  At p = 2 coordinate
+        c_i of element #m is bit d-1-i of m, so the packed coordinate rows
+        are taken straight from the bits of the tail indices."""
+        t, d = self.tower, self.d
+        if t.p != 2:
+            return self.ranks(projective_coords(t, lead, tails))
+        B = tails.shape[0]
+        ones = np.packbits(np.ones(B, dtype=np.uint8))
+        x = tails.T.astype(np.min_scalar_type(t.order - 1))
+        shifts = np.arange(d - 1, -1, -1, dtype=x.dtype)[:, None]
+        planes = (x[:, None, :] >> shifts).astype(np.uint8) & 1   # (tails, d, B)
+        rows = np.packbits(planes.reshape(x.shape[0] * d, B), axis=1)
+        masks = self._masks[lead * d:]
+        # the lead coefficient 1 is coordinate c_0 = 1; rows before it are zero
+        return self._xor_ranks([(masks[0], ones), *zip(masks[d:], rows)], B)
+
+    def _xor_ranks(self, pairs, B) -> np.ndarray:
+        """Ranks of B maps at p = 2 from (mask, row) pairs: a coordinate row
+        packed along the batch axis and the map entries its row of L feeds."""
+        d = self.d
+        bits = np.zeros((d * d, (B + 7) // 8), dtype=np.uint8)
+        for mask, row in pairs:
             bits[mask] ^= row
-        return _gf2_eliminate(bits.reshape(d, d, -1), coeff_coords.shape[0])
+        return _gf2_eliminate(bits.reshape(d, d, -1), B)
 
 
 class OrbitSweep:
@@ -301,7 +366,7 @@ class OrbitSweep:
         tails = np.zeros((count, ntails), dtype=np.int64)
         for j in range(ntails):
             m_next = m.copy()
-            for mv in np.unique(m).tolist():
+            for mv in distinct(m).tolist():
                 idx = np.flatnonzero(m == mv)
                 n0 = self._size(lead, j + 1, mv)
                 idx = idx[r[idx] >= n0]

@@ -119,7 +119,7 @@ class SupportCode:
         best = t.n
         for lead, start, count in sweep.chunks(1 << 16, 1 << 16):
             tails, _, _ = sweep.representatives(lead, start, count)
-            ranks = sb.ranks(_batch.projective_coords(t, lead, tails))
+            ranks = sb.rep_ranks(lead, tails)
             best = min(best, int(ranks.min()) // t.e)
         return best
 

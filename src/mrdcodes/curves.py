@@ -112,7 +112,7 @@ def _v_cap_w_on_lines(tower, idx, mw) -> int:
     u = _batch.element_coord_columns(idx, p, d) @ delta % p @ packing
     dims = d - ranks
     count = 0
-    for k in np.unique(dims).tolist():
+    for k in _batch.distinct(dims).tolist():
         sel = np.flatnonzero(dims == k)
         basis_v = kernels[sel, :k] @ delta % p            # v of the basis vectors
         step = max(1, POINT_BLOCK // sel.size)

@@ -186,10 +186,8 @@ def _orbit_sweep(p, e, n, exps):
 def _scan_chunk(args):
     """(first bad position in the block or -1, orbit sizes summed)."""
     p, e, n, exps, threshold, lead, start, count = args
-    t = make_tower(p, e, n)
     tails, _, orbit = _orbit_sweep(p, e, n, exps).representatives(lead, start, count)
-    coords = _batch.projective_coords(t, lead, tails)
-    ranks = _support_block(p, e, n, exps).ranks(coords)
+    ranks = _support_block(p, e, n, exps).rep_ranks(lead, tails)
     bad = np.flatnonzero(ranks < threshold)
     return (-1 if bad.size == 0 else int(bad[0])), int(orbit.sum())
 

@@ -193,6 +193,18 @@ def test_bare_import_loads_no_numpy():
     assert fresh("-c", "import sys, mrdcodes; print('numpy' in sys.modules)") == "False"
 
 
+def test_scan_and_curve_engine_load_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 14 ms of the sweep
+    out = fresh("-c", """if True:
+        import sys
+        from mrdcodes import SupportCode, curves, make_tower, verify
+        t = make_tower(3, 1, 7)
+        scan = verify.exhaustive_scan(SupportCode(t, (0, 1, 3), 1))
+        curve = curves.mrd_via_curve(t)
+        print(scan.verdict, curve.verdict, 'numpy.ma' in sys.modules)""")
+    assert out == "MRD MRD False"
+
+
 def test_lazy_names_resolve():
     out = json.loads(fresh("-c", """if True:
         import json, pkgutil, sys, mrdcodes

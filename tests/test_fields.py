@@ -206,9 +206,9 @@ def test_batch_rank_matches_elimination(p, r, c, B, rnd):
 
 
 def _generic_batch_rank(mats, p):
-    """batch_rank through the generic loop whatever p is."""
+    """batch_rank through the mod-p eliminator whatever p is."""
     m = np.ascontiguousarray(mats, dtype=_batch.work_dtype(p))
-    return _batch._gauss_jordan(m, p)
+    return _batch._modp_gauss_jordan(m, p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -235,7 +235,7 @@ def test_gf2_elimination_matches_generic(r1, r2, c, B, seed):
     top, bottom = draw(r1), draw(r2)
     for mats in (top, np.concatenate([top, bottom], axis=1)):
         fast, slow = mats.astype(np.int32), mats.astype(np.int32)
-        assert _batch.batch_rank(fast, 2).tolist() == _batch._gauss_jordan(slow, 2).tolist()
+        assert _batch.batch_rank(fast, 2).tolist() == _generic_batch_rank(slow, 2).tolist()
         assert np.array_equal(fast, slow)
     got = _batch.stacked_ranks(top, bottom, 2), _batch.batch_kernels(top, 2)
     with pytest.MonkeyPatch.context() as mp:
@@ -267,8 +267,9 @@ def test_support_block_ranks_match_batch_rank(pen, T):
     # at p = 2 ranks() builds the maps bit-packed, without the matmul; batch
     # sizes off a multiple of 8 leave a partly filled byte of bits.  Up to
     # degree 16 also a general code's block (rows @ L on the full support,
-    # as GeneralCode.min_distance builds it) and one block of the scan's
-    # canonical representatives
+    # as GeneralCode.min_distance builds it) and blocks of the scan's
+    # canonical representatives for every lead, whose rep_ranks() at p = 2
+    # packs the coordinate rows from the bits of the tail indices
     t = make_tower(*pen)
     gen = np.random.default_rng(sum(pen) * 31 + len(T))
     blocks = [_batch.SupportBlockMatrix(t, T)]
@@ -286,8 +287,11 @@ def test_support_block_ranks_match_batch_rank(pen, T):
     assert t.degree in seen and min(seen) < t.degree
     if t.degree <= 16:
         sweep = _batch.OrbitSweep(t, T)
-        tails, _, _ = sweep.representatives(0, 0, min(sweep.counts[0], 1027))
-        _assert_ranks_match(blocks[0], _batch.projective_coords(t, 0, tails))
+        for lead, total in enumerate(sweep.counts):
+            tails, _, _ = sweep.representatives(lead, 0, min(total, 1027))
+            want = _assert_ranks_match(blocks[0], _batch.projective_coords(t, lead, tails))
+            got = blocks[0].rep_ranks(lead, tails)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 @st.composite
@@ -487,19 +491,10 @@ def test_eliminator_exact_past_int64_products():
         assert [sum(A[i][k] * x[k] for k in range(3)) % p for i in range(3)] == b
 
 
-@pytest.mark.parametrize("p", [2147483647, 4294967291, 4294967311])
-def test_batch_rank_past_the_inverse_table(p):
-    # inverse_table(p) asked for 32 GiB at p = 4294967291; past 3.04e9 the
-    # products need Python ints, as in rref_modp.  The reduced batch holds
-    # rref's nonzero rows, unnormalized and each in its pivot row's place.
-    rnd = random.Random(p)
-    mats = []
-    for inner in (0, 1, 2, 3, 3):
-        X = [[rnd.randrange(p) for _ in range(inner)] for _ in range(3)]
-        Y = [[rnd.choice((1, p - 1, rnd.randrange(p))) for _ in range(3)]
-             for _ in range(inner)]
-        mats.append([[sum(X[i][k] * Y[k][j] for k in range(inner)) % p
-                      for j in range(3)] for i in range(3)])
+def _assert_reduced_like_rref(mats, p):
+    """batch_rank of mats (lists of residues, of one shape) matches
+    rref_modp: the reduced batch holds rref's nonzero rows, unnormalized and
+    each in its pivot row's place."""
     m = np.array(mats, dtype=_batch.work_dtype(p))
     ranks = _batch.batch_rank(m, p)
     for a, red, rk in zip(mats, m, ranks.tolist()):
@@ -508,10 +503,44 @@ def test_batch_rank_past_the_inverse_table(p):
         normed = [[int(v) * pow(int(row[row != 0][0]), p - 2, p) % p for v in row]
                   for row in red if row.any()]
         assert sorted(normed) == sorted([int(v) for v in w] for w in want[:rk])
+    return ranks
+
+
+@pytest.mark.parametrize("p", [2147483647, 4294967291, 4294967311])
+def test_batch_rank_past_the_inverse_table(p):
+    # inverse_table(p) asked for 32 GiB at p = 4294967291; past 3.04e9 the
+    # products need Python ints, as in rref_modp
+    rnd = random.Random(p)
+    mats = []
+    for inner in (0, 1, 2, 3, 3):
+        X = [[rnd.randrange(p) for _ in range(inner)] for _ in range(3)]
+        Y = [[rnd.choice((1, p - 1, rnd.randrange(p))) for _ in range(3)]
+             for _ in range(inner)]
+        mats.append([[sum(X[i][k] * Y[k][j] for k in range(inner)) % p
+                      for j in range(3)] for i in range(3)])
+    _assert_reduced_like_rref(mats, p)
     ranks, kernels = _batch.batch_kernels(np.array(mats, dtype=object), p)
     for a, basis, rk in zip(mats, kernels, ranks.tolist()):
         assert [[int(v) for v in b] for b in basis[:3 - rk]] == \
             [[int(v) for v in b] for b in nullspace_modp(a, p)]
+
+
+@pytest.mark.parametrize("p, c, dtype", [(181, 1, np.int16), (181, 2, np.int32),
+                                         (32771, 1, np.int32), (32771, 2, np.int64),
+                                         (2147483647, 2, np.int64),
+                                         (2147483647, 3, object)])
+def test_lazy_reduction_at_the_dtype_boundaries(p, c, dtype):
+    # entries grow to (p-1) + c*(p-1)^2 between reductions; each pair of
+    # cases sits on either side of one dtype's limit.  Entries 1 and p - 1
+    # come often, so that the products reach (p-1)^2
+    assert _batch.lazy_dtype(p, c) is dtype
+    rnd = random.Random(p * 10 + c)
+    tower = make_tower(p, 1, 1)
+    for r in (1, 2, 3, 4):
+        mats = [[[rnd.choice((0, 1, p - 1, p - 1, rnd.randrange(p))) for _ in range(c)]
+                 for _ in range(r)] for _ in range(10)]
+        ranks = _assert_reduced_like_rref(mats, p)
+        assert ranks.tolist() == [_linalg.rank(tower, a, c) for a in mats]
 
 
 def test_is_prime_miller_rabin():
