@@ -192,7 +192,7 @@ def batch_kernels(mats: np.ndarray, p: int):
     batch_rank's reduced batch m: v[fc] = 1, v[pc] = -m[i, fc] / m[i, pc]
     for the row i with pivot column pc, and 0 at the other free columns.
     """
-    m = np.array(mats, dtype=work_dtype(p))
+    m = np.array(mats, dtype=work_dtype(p), order="C")   # batch_rank reduces it in place
     ranks = batch_rank(m, p)
     c = m.shape[2]
     nz = m != 0
@@ -242,7 +242,11 @@ class SupportBlockMatrix:
     def __init__(self, tower, q_exponents, rows=None):
         self.tower = tower
         d, p = tower.degree, tower.p
-        L = np.stack([tower.mult_powers @ tower.frob_q_matrix(u) % p
+        # entries here and in matrices() sum k*d products of two residues:
+        # Python ints (object dtype) past int64, as in fields._matmul_modp
+        dtype = np.int64 if len(q_exponents) * d * (p - 1) ** 2 < 1 << 63 else object
+        powers = tower.mult_powers.astype(dtype, copy=False)
+        L = np.stack([powers @ tower.frob_q_matrix(u) % p
                       for u in q_exponents]).reshape(-1, d * d)
         self.L = L if rows is None else rows @ L % p
         self.d = d

@@ -49,6 +49,13 @@ def adjoint_support(T, n: int) -> tuple:
     return tuple(sorted({(n - t) % n for t in support_exponents(T, n)}))
 
 
+def ds_support(s: int) -> tuple:
+    """The n = 9 support {0, s, 2s, 4s} (s in {1, 4, 7}) reduced mod 9, sorted."""
+    if s not in (1, 4, 7):
+        raise ValueError("Ds needs s in {1, 4, 7}")
+    return tuple(sorted({0, s % 9, 2 * s % 9, 4 * s % 9}))
+
+
 @dataclass(frozen=True)
 class IdealiserReport:
     side: str
@@ -128,11 +135,11 @@ class SupportCode:
         q-support.  Both idealisers are spanned by the monomials with
         exponents in D, so they are fields (isomorphic to F_{q^n}) exactly
         when D is trivial; periodic supports (unions of cosets of a proper
-        subgroup) have |D|*n-dimensional idealisers with zero divisors."""
-        n = self.tower.n
-        U = set(self.q_support())
-        return tuple(d for d in range(n)
-                     if {(u + d) % n for u in U} == U)
+        subgroup) have |D|*n-dimensional idealisers with zero divisors.  Such
+        a d takes min U into U: the candidates are the k values u - min U."""
+        n, U = self.tower.n, self.q_support()
+        return tuple(d for d in (u - U[0] for u in U)
+                     if {(u + d) % n for u in U} == set(U))
 
     def descriptor(self) -> dict:
         return {"kind": "support", "T": list(self.T), "s": self.s}
@@ -356,9 +363,7 @@ def named_family(name: str, tower: FieldTower, s: int | None = None) -> SupportC
     if name == "Ds":
         if tower.n != 9:
             raise ValueError("Ds needs n = 9")
-        if s not in (1, 4, 7):
-            raise ValueError("Ds needs s in {1, 4, 7}")
-        return SupportCode(tower, sorted({0, s % 9, 2 * s % 9, 4 * s % 9}), 1)
+        return SupportCode(tower, ds_support(s), 1)
     raise ValueError(f"unknown family {name!r}")
 
 

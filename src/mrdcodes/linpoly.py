@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _batch, _linalg
-from .fields import CapExceeded, FieldTower, nullspace_modp, rref_modp
+from .fields import CapExceeded, FieldTower, rref_modp
 
 
 def fq_independent(tower, vecs) -> list[int]:
@@ -172,12 +172,6 @@ class LinPoly:
             if c:
                 M = M + t.mult_matrix(c) @ t.frob_q_matrix(i)
         return M % t.p
-
-    def kernel_fq_basis(self) -> list[int]:
-        """An F_q-basis of the kernel, as field elements (deterministic)."""
-        t = self.tower
-        vecs = nullspace_modp(self.map_matrix_fp(), t.p)
-        return [t.element(vecs[i].tolist()) for i in fq_independent(t, vecs)]
 
     def roots(self) -> set[int]:
         """Brute-force root set {x : f(x) = 0}; oracle only, enumerates the field."""

@@ -43,7 +43,7 @@ from . import _batch
 from .fields import (CapExceeded, make_tower, nullspace_modp, rref_modp, solve_modp,
                      span_modp, subtract_p_once)
 from .linpoly import LinPoly, fq_independent
-from .codes import SupportCode, adjoint_support, dual_support
+from .codes import SupportCode, adjoint_support, ds_support, dual_support
 
 DEFAULT_BUDGET = 1 << 28
 BATCH = 1 << 16
@@ -90,8 +90,9 @@ def validate_certificate(cert: Certificate) -> bool:
     engine, the Gaussian binomial [n k]_q of F_q-subspaces of the Moore
     sweep.  The trinomial and curve methods decide {0,1,3} alone, and
     every MRD verdict on a {0,1,3} support (up to shift, n >= 5, Zech tables
-    present) must agree with a fresh run of the trinomial criterion.  Unknown
-    methods fail."""
+    present) must agree with a fresh run of the trinomial criterion; other
+    MRD scans must be of a Gabidulin support or agree with a fresh scan.
+    Unknown methods fail."""
     tw = make_tower(cert.tower["p"], cert.tower["e"], cert.tower["n"])
     desc = cert.code_desc
     if desc.get("kind") != "support" or cert.method not in METHODS:
@@ -112,13 +113,18 @@ def validate_certificate(cert: Certificate) -> bool:
             // math.prod(q ** k - q ** i for i in range(k))}.get(cert.method)
     if cert.scanned != full:
         return False
-    support013 = shift_equivalent(code.q_support(), (0, 1, 3), n) is not None
+    engines, progressions = _special_supports(n, k)
+    canon = shift_canonical(code.q_support(), n)
+    support013 = canon in engines and engines[canon] is None
     if cert.method == "trinomial" and not support013:
         return False
     if cert.method == "curve" and code.q_support() != (0, 1, 3):
         return False
-    if support013 and n >= 5 and tw.tables is not None:
+    if support013 and tw.tables is not None:
         return trinomial_criterion(tw).verdict == VERDICT_MRD
+    if cert.method == "scan" and canon not in progressions:
+        rescan = exhaustive_scan(code, budget=cert.scanned)
+        return rescan.verdict == VERDICT_MRD and rescan.scanned == cert.scanned
     return cert.method not in ("trinomial", "curve")
 
 
@@ -143,30 +149,29 @@ def _not_mrd(code: SupportCode, method: str, f: LinPoly, scanned: int, t0: float
 # gcd pre-filter
 # ----------------------------------------------------------------------------
 
+def _gcd_pair(T, n: int, k: int | None = None):
+    """The first pair (lo, hi) of T, reduced mod n and sorted, whose
+    difference has gcd(hi - lo, n) >= k (k = |T| by default), or None."""
+    T = sorted(int(t) % n for t in T)
+    if k is None:
+        k = len(T)
+    return next(((lo, hi) for lo, hi in itertools.combinations(T, 2)
+                 if math.gcd(hi - lo, n) >= k), None)
+
+
 def gcd_filter(T, n: int, k: int | None = None) -> bool:
     """True when all pairwise exponent differences d satisfy gcd(d, n) < k.
     False is a proof of NOT_MRD: (X^{q^d} - X)^{q^{t_j}} is a codeword with
     kernel the subfield F_{q^gcd}."""
-    T = sorted(int(t) % n for t in T)
-    if k is None:
-        k = len(T)
-    for i, j in itertools.combinations(range(len(T)), 2):
-        if math.gcd(T[j] - T[i], n) >= k:
-            return False
-    return True
+    return _gcd_pair(T, n, k) is None
 
 
 def gcd_filter_witness(tower, T) -> tuple[LinPoly, tuple]:
     """The refuting codeword for a support that fails the filter."""
-    n = tower.n
-    Ts = sorted(int(t) % n for t in T)
-    k = len(Ts)
-    for i, j in itertools.combinations(range(k), 2):
-        lo, hi = Ts[i], Ts[j]
-        if math.gcd(hi - lo, n) >= k:
-            f = LinPoly.from_support(tower, [hi, lo], [1, tower.neg(1)])
-            return f, (lo, hi)
-    raise ValueError("support passes the gcd filter; no witness")
+    pair = _gcd_pair(T, tower.n)
+    if pair is None:
+        raise ValueError("support passes the gcd filter; no witness")
+    return LinPoly.from_support(tower, pair[::-1], [1, tower.neg(1)]), pair
 
 
 # ----------------------------------------------------------------------------
@@ -385,13 +390,9 @@ def n9_witness(tower, s: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     tw = tower
     if tw.n != 9:
         raise ValueError("n9_witness needs n = 9")
-    if s not in (1, 4, 7):
-        raise ValueError("s must be in {1, 4, 7}")
-    exps = tuple(sorted({0, s % 9, 2 * s % 9, 4 * s % 9}))
-    code = SupportCode(tw, exps, 1)
+    code = SupportCode(tw, ds_support(s), 1)
     want_tr = tw.embed_fp(-2)
     want_nm = tw.embed_fp(-1)
-    found = None
     for c in tw.fixed_field(3 * tw.e):   # F_{q^3}, canonical order
         if c == 0:
             continue
@@ -401,12 +402,10 @@ def n9_witness(tower, s: int, budget: int = DEFAULT_BUDGET) -> Certificate:
         tr = tw.add(tw.add(z, zq), zqq)
         nm = tw.mul(tw.mul(z, zq), zqq)
         if tr == want_tr and nm == want_nm:
-            found = c
             break
-    if found is None:
+    else:
         # no admissible constant: fall back to the sweep
         return exhaustive_scan(code, budget=budget)
-    c = found
     alpha = tw.add(1, tw.inv(tw.frobenius_q(c, 1)))  # 1 + c^{-q}
     f = LinPoly.from_support(
         tw, [0, s % 9, 2 * s % 9, 4 * s % 9],
@@ -425,34 +424,43 @@ def n9_witness(tower, s: int, budget: int = DEFAULT_BUDGET) -> Certificate:
 # ----------------------------------------------------------------------------
 
 def shift_canonical(T, n: int) -> tuple:
-    """Lexicographically smallest among the n cyclic shifts (sorted tuples)."""
-    T = sorted(int(t) % n for t in T)
-    return min(tuple(sorted((t + s) % n for t in T)) for s in range(n))
+    """Lexicographically smallest among the n cyclic shifts (sorted tuples).
+    It contains 0, so it is one of the k shifts T - t for t in T."""
+    T = [int(t) % n for t in T]
+    return min((tuple(sorted((u - t) % n for u in T)) for t in T), default=())
 
 
 def shift_equivalent(T1, T2, n: int):
-    """The smallest s with T2 = T1 + s (mod n), or None."""
-    T1 = sorted(int(t) % n for t in T1)
+    """The smallest s with T2 = T1 + s (mod n), or None.  Such an s takes
+    some t in T1 to min T2, so it is one of the k values min T2 - t."""
+    T1 = [int(t) % n for t in T1]
     T2s = tuple(sorted(int(t) % n for t in T2))
-    for s in range(n):
-        if tuple(sorted((t + s) % n for t in T1)) == T2s:
-            return s
-    return None
+    cands = {(T2s[0] - t) % n for t in T1} if T2s else {0}
+    return min((s for s in cands if tuple(sorted((t + s) % n for t in T1)) == T2s),
+               default=None)
 
 
 def is_gabidulin_support(T, n: int) -> bool:
     """True when T is a cyclic shift of an arithmetic progression whose
     common difference is coprime to n."""
-    T = tuple(sorted(int(t) % n for t in T))
-    k = len(T)
-    canon = shift_canonical(T, n)
-    for dstep in range(1, n):
-        if math.gcd(dstep, n) != 1:
-            continue
-        prog = sorted(i * dstep % n for i in range(k))
-        if len(set(prog)) == k and shift_canonical(prog, n) == canon:
-            return True
-    return False
+    T = [int(t) % n for t in T]
+    return shift_canonical(T, n) in _special_supports(n, len(T))[1]
+
+
+@functools.lru_cache(maxsize=256)
+def _special_supports(n: int, k: int):
+    """The size-k supports mod n that the paper singles out, as canonical
+    shifts: (engines, progressions).  `engines` maps {0,1,3} (n >= 5) to
+    None, the trinomial criterion, and at n = 9 each {0,s,2s,4s} to s, for
+    `n9_witness`; `progressions` are the Gabidulin supports."""
+    engines = {}
+    if k == 3 and n >= 5:
+        engines[shift_canonical((0, 1, 3), n)] = None
+    if n == 9 and k == 4:
+        engines.update({shift_canonical(ds_support(s), n): s for s in (1, 4, 7)})
+    progs = (sorted(i * step % n for i in range(k))
+             for step in range(1, n) if math.gcd(step, n) == 1)
+    return engines, frozenset(shift_canonical(P, n) for P in progs if len(set(P)) == k)
 
 
 # ----------------------------------------------------------------------------
@@ -493,13 +501,6 @@ class CandidateList:
         raise KeyError(f"no canonical entry for {T}")
 
 
-def _d_family_canonicals(n, k):
-    if n != 9 or k != 4:
-        return {}
-    return {shift_canonical(sorted({0, s, 2 * s % 9, 4 * s % 9}), 9): s
-            for s in (1, 4, 7)}
-
-
 def classify(tower, k: int, budget: int = DEFAULT_BUDGET,
              workers: int = 1) -> CandidateList:
     """Enumerate all k-subsets up to shift, tag adjoint/dual redundancies,
@@ -512,14 +513,11 @@ def classify(tower, k: int, budget: int = DEFAULT_BUDGET,
     if not 1 <= k <= n:
         raise ValueError("k out of range")
     orbits = sorted({shift_canonical((0,) + rest, n)
-                     for rest in itertools.combinations(range(1, n), k - 1)}) \
-        if k > 1 else [(0,)]
-    special = set(_d_family_canonicals(n, k))
-    if n >= 5 and k == 3:
-        special.add(shift_canonical((0, 1, 3), n))
+                     for rest in itertools.combinations(range(1, n), k - 1)})
+    engines = _special_supports(n, k)[0]
 
     def pref(T):
-        return (0 if T in special else 1, T)
+        return (0 if T in engines else 1, T)
 
     out = CandidateList(n=n, k=k, q=tower.q)
     for T in orbits:
@@ -527,13 +525,9 @@ def classify(tower, k: int, budget: int = DEFAULT_BUDGET,
         partners = [(adjoint_support(T, n), "adjoint")]
         if 2 * k == n:
             partners.append((dual_support(T, n), "dual"))
-        best = None
-        for P, op in partners:
-            Pc = shift_canonical(P, n)
-            if Pc != T and pref(Pc) < pref(T):
-                if best is None or pref(Pc) < pref(best[0]):
-                    best = (Pc, op)
-        if best is not None:
+        best = min(((shift_canonical(P, n), op) for P, op in partners),
+                   key=lambda b: pref(b[0]))
+        if pref(best[0]) < pref(T):
             entry.removed_by, entry.partner = best[1], best[0]
             out.entries.append(entry)
             continue
@@ -561,13 +555,13 @@ def decide(code: SupportCode, budget: int = DEFAULT_BUDGET,
     n = tower.n
     if not gcd_filter(T, n, k):
         return _gcd_certificate(tower, T)
+    engines = _special_supports(n, k)[0]
     canon = shift_canonical(T, n)
-    d_canon = _d_family_canonicals(n, k)
-    if canon in d_canon:
-        return n9_witness(tower, d_canon[canon], budget=budget)
-    if k == 3 and n >= 5 and canon == shift_canonical((0, 1, 3), n) \
-            and tower.tables is not None:
-        return trinomial_criterion(tower)
+    if canon in engines:
+        if engines[canon] is not None:
+            return n9_witness(tower, engines[canon], budget=budget)
+        if tower.tables is not None:
+            return trinomial_criterion(tower)
     return exhaustive_scan(code, budget=budget, workers=workers)
 
 

@@ -525,6 +525,46 @@ def test_batch_rank_past_the_inverse_table(p):
             [[int(v) for v in b] for b in nullspace_modp(a, p)]
 
 
+def test_batch_kernels_of_batches_not_c_contiguous():
+    # a Fortran-ordered batch was reduced in a copy, and the kernels were
+    # read off the unreduced batch: [[1,2,0],[2,1,1]] at p = 3 gave [2,1,0]
+    mats = np.array([[[1, 2, 0], [2, 1, 1]], [[1, 1, 2], [0, 0, 0]],
+                     [[0, 2, 1], [1, 0, 2]]])
+    for batch, p in [(mats, 3), (mats, 5), (mats.transpose(0, 2, 1), 3),
+                     (mats.transpose(0, 2, 1), 7)]:
+        for layout in (np.asfortranarray(batch), batch, batch[:, ::-1]):
+            ranks, kernels = _batch.batch_kernels(layout, p)
+            c = layout.shape[2]
+            for m, rk, basis in zip(layout, ranks.tolist(), kernels):
+                assert basis[:c - rk].tolist() == [v.tolist() for v in nullspace_modp(m, p)]
+                assert not basis[c - rk:].any()
+
+
+@pytest.mark.parametrize("pen", [(4294967291, 1, 2), (3037000507, 1, 2), (3, 1, 7),
+                                 (7, 1, 3)])
+def test_support_block_products_exact(pen):
+    # L and the maps sum k*d products of two residues: past int64 they are
+    # formed in Python ints.  At p = 4294967291 the int64 product returned
+    # 4294967267 and 4294967268 for the map entries 1 and 2
+    t = make_tower(*pen)
+    p, d, n = t.p, t.degree, t.n
+    rnd = random.Random(p + n)
+    for T in ([0, 1], list(range(n))):
+        L = np.stack([t.mult_powers.astype(object) @ t.frob_q_matrix(u).astype(object) % p
+                      for u in T]).reshape(-1, d * d)
+        coords = [[rnd.choice((0, 1, p - 1, p - 2, rnd.randrange(p))) for _ in range(len(T) * d)]
+                  for _ in range(6)] + [[(p - 1, p - 2, p - 3)[i % 3] for i in range(len(T) * d)]]
+        want = (np.array(coords, dtype=object) @ L % p).reshape(-1, d, d)
+        rows = np.array(coords[:3], dtype=np.int64)
+        sb = _batch.SupportBlockMatrix(t, T)
+        general = _batch.SupportBlockMatrix(t, T, rows)
+        assert sb.L.tolist() == L.tolist()
+        assert general.L.tolist() == (rows.astype(object) @ L % p).tolist()
+        assert sb.matrices(np.array(coords, dtype=np.int64)).tolist() == want.tolist()
+        if p < 10:   # the benchmark towers keep their int64 products
+            assert sb.L.dtype == np.int64 and general.L.dtype == np.int64
+
+
 @pytest.mark.parametrize("p, c, dtype", [(181, 1, np.int16), (181, 2, np.int32),
                                          (32771, 1, np.int32), (32771, 2, np.int64),
                                          (2147483647, 2, np.int64),

@@ -135,13 +135,6 @@ def test_kernel_is_subspace():
                 assert t.mul(lam, x) in ker
 
 
-def test_kernel_fq_basis():
-    t = make_tower(2, 2, 4)
-    f = LinPoly.from_support(t, [1, 0], [1, t.neg(1)])   # x^q - x
-    basis = f.kernel_fq_basis()
-    assert len(basis) == 1 and all(f.eval(b) == 0 for b in basis)
-
-
 @pytest.mark.parametrize("pen", [(2, 2, 3), (3, 2, 2), (2, 3, 2), (3, 1, 4)])
 def test_fq_independent_is_greedy_on_q_coords(pen):
     # oracle: keep an element when it raises the F_q-rank of the

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -342,6 +343,13 @@ def test_forged_certificates_rejected():
         assert not verify.validate_certificate(forged), method
     short = verify.Certificate(gab, "MRD", "moore", None, 1, t.descriptor(), 0.0)
     assert not verify.validate_certificate(short)
+    # an MRD scan with the full count, on a support the scan refutes
+    t = make_tower(2, 1, 8)
+    code = SupportCode(t, (0, 1, 2, 4), 1)
+    assert verify.decide(code).verdict == "NOT_MRD"
+    forged = verify.Certificate(code.descriptor(), "MRD", "scan", None,
+                                _batch.projective_index_total(t, 4), t.descriptor(), 0.0)
+    assert not verify.validate_certificate(forged)
 
 
 def test_genuine_certificates_validate():
@@ -453,6 +461,58 @@ def test_gabidulin_support_detection():
     assert verify.is_gabidulin_support((0, 2, 5), 8)       # shift of {0,3,6}
     assert not verify.is_gabidulin_support((0, 1, 3), 7)
     assert not verify.is_gabidulin_support((0, 2, 4), 6)   # difference 2 | 6
+
+
+def test_support_recognition_matches_shift_sweeps():
+    # the n-shift sweeps that the k-candidate forms replace, as oracles,
+    # over every nonempty subset of Z/n for n <= 9
+    def canonical(T, n):
+        T = sorted(t % n for t in T)
+        return min(tuple(sorted((t + s) % n for t in T)) for s in range(n))
+
+    def equivalent(T1, T2, n):
+        return next((s for s in range(n)
+                     if tuple(sorted((t + s) % n for t in T1)) == tuple(sorted(T2))), None)
+
+    def gabidulin(T, n):
+        progs = [sorted(i * step % n for i in range(len(T)))
+                 for step in range(1, n) if math.gcd(step, n) == 1]
+        return any(len(set(P)) == len(T) and canonical(P, n) == canonical(T, n)
+                   for P in progs)
+
+    def gcd_pair(T, n, k):
+        return next(((T[i], T[j]) for i, j in itertools.combinations(range(len(T)), 2)
+                     if math.gcd(T[j] - T[i], n) >= k), None)
+
+    assert not verify.is_gabidulin_support((0,), 1)
+    for n in range(1, 10):
+        t = make_tower(2, 1, n)
+        subsets = [T for k in range(1, n + 1) for T in itertools.combinations(range(n), k)]
+        for T in subsets:
+            shifted = [(u + 3) % n for u in reversed(T)]
+            assert verify.shift_canonical(T, n) == canonical(T, n), (T, n)
+            assert verify.shift_canonical(shifted, n) == canonical(T, n), (T, n)
+            assert verify.is_gabidulin_support(T, n) == gabidulin(T, n), (T, n)
+            assert verify.is_gabidulin_support(shifted, n) == gabidulin(T, n), (T, n)
+            assert SupportCode(t, T, 1).stabilizer() == \
+                tuple(s for s in range(n) if tuple(sorted((u + s) % n for u in T)) == T)
+            for k in (2, len(T)):
+                assert verify.gcd_filter(T, n, k) == (gcd_pair(T, n, k) is None)
+            pair = gcd_pair(sorted(shifted), n, len(T))
+            assert verify.gcd_filter(shifted, n) == (pair is None)
+            if pair is None:
+                with pytest.raises(ValueError):
+                    verify.gcd_filter_witness(t, shifted)
+            else:
+                f, got = verify.gcd_filter_witness(t, shifted)
+                assert got == pair
+                assert f == LinPoly.from_support(t, [pair[1], pair[0]], [1, t.neg(1)])
+            assert verify.shift_equivalent(T, T[:-1], n) is None
+            assert verify.shift_equivalent(T[:-1], T, n) is None
+        for T1 in subsets:
+            for T2 in subsets:
+                if len(T1) == len(T2):
+                    assert verify.shift_equivalent(T1, T2, n) == equivalent(T1, T2, n)
 
 
 def test_classify_small_q2():
