@@ -460,7 +460,7 @@ def vec_pow(tower, a, k: int):
     a = np.asarray(a)
     out = np.zeros_like(a)
     nz = a != 0
-    out[nz] = exp[(log[a[nz]] * (k % Qm1)) % Qm1]
+    out[nz] = exp[log[a[nz]].astype(np.int64) * (k % Qm1) % Qm1]   # can pass int32
     if k == 0:
         out[~nz] = 1
     return out

@@ -19,7 +19,11 @@ without Zech tables the scalar Frobenius is a product with them.
 The subfield F_q is realized as the fixed field of the e-fold p-power
 Frobenius; F_{q^n} is an n-dimensional F_q-space in the power basis of g.
 Multiplication uses discrete-log (Zech) tables for fields up to TABLE_CAP
-elements and falls back to polynomial arithmetic above that.
+elements and falls back to polynomial arithmetic above that.  The tables
+are int32, 12 bytes per element (exp holds 2(Q-1) entries, log Q): every
+packed element and every log is below Q <= TABLE_CAP = 2^23 < 2^31.  A
+product of a log with an exponent can pass 2^31, so such products are
+taken in int64 or Python ints.
 
 Enumeration always uses the canonical element order: element #m has
 coordinates c_i = (m // p**(d-1-i)) % p, i.e. coordinate tuples in ascending
@@ -34,6 +38,7 @@ import numpy as np
 
 ENUM_CAP = 1 << 24    # full-field enumeration guard
 TABLE_CAP = 1 << 23   # discrete-log table guard
+_ZECH_BLOCK = 1 << 14  # powers per block of the Zech table build
 
 
 class CapExceeded(RuntimeError):
@@ -369,7 +374,10 @@ class FieldTower:
 
     @property
     def tables(self):
-        """(exp, log) Zech tables, or None when the field exceeds TABLE_CAP."""
+        """(exp, log) Zech tables, or None when the field exceeds TABLE_CAP.
+        Both int32 (values below Q <= 2^23): exp[i] = h^i for 0 <= i <
+        2(Q-1), so the sum of two logs indexes it unreduced, and log[x] is
+        the i < Q-1 with h^i = x, log[0] = -1."""
         if self._tables is None:
             if self.order > TABLE_CAP:
                 return None
@@ -419,27 +427,43 @@ class FieldTower:
                             self.mult_powers.reshape(d, d * d), self.p).reshape(d, d)
 
     def _build_tables(self):
+        """The `tables` of h, the smallest primitive element.  The first
+        _ZECH_BLOCK powers are built in digits by doubling (powers h^s.. from
+        h^0.. by one product with Mult(h^s)); every later block is that first
+        block times Mult(h^start).  Each block is packed by Horner's rule
+        straight into its slice of exp, so no Q-sized digit matrix or int64
+        array is formed."""
         Q, d, p = self.order, self.degree, self.p
         h = self._find_primitive()
         # the digit matmul sums d products of digits below p
         dtype = np.int16 if d * (p - 1) ** 2 < 1 << 15 else np.int64
-        digits = np.zeros((Q - 1, d), dtype=dtype)
-        digits[0, 0] = 1  # the element 1
+        size = min(_ZECH_BLOCK, Q - 1)
+        first = np.zeros((d, size), dtype=dtype)   # digit-major: column i is h^i
+        first[0, 0] = 1  # the element 1
         filled = 1
-        hs = h  # h^filled, maintained by fallback arithmetic
-        while filled < Q - 1:
-            step = min(filled, Q - 1 - filled)
-            M = self.mult_matrix(hs).astype(dtype)
-            digits[filled:filled + step] = digits[:step] @ M.T % p
+        hs = h  # h^filled, then h^start, maintained by fallback arithmetic
+        while filled < size:
+            step = min(filled, size - filled)
+            first[:, filled:filled + step] = _times_digits(self.mult_matrix(hs),
+                                                           first[:, :step], p)
             hs = self._mul_fallback(hs, self._pow_fallback(h, step))
             filled += step
-        packed = np.zeros(Q - 1, dtype=np.int64)
-        for i in range(d):
-            packed += digits[:, i].astype(np.int64) * self._pw[i]
-        del digits
-        exp = np.concatenate([packed, packed])
-        log = np.full(Q, -1, dtype=np.int64)
-        log[packed] = np.arange(Q - 1)
+        h_size = hs   # h^size, from one block start to the next
+        exp = np.empty(2 * (Q - 1), dtype=np.int32)
+        log = np.full(Q, -1, dtype=np.int32)
+        for start in range(0, Q - 1, size):
+            cnt = min(size, Q - 1 - start)
+            digits = first[:, :cnt]
+            if start:
+                digits = _times_digits(self.mult_matrix(hs), digits, p)
+                hs = self._mul_fallback(hs, h_size)
+            block = exp[start:start + cnt]
+            block[:] = digits[d - 1]
+            for j in range(d - 2, -1, -1):   # Horner's rule
+                block *= p
+                block += digits[j]
+            log[block] = np.arange(start, start + cnt, dtype=np.int32)
+        exp[Q - 1:] = exp[:Q - 1]
         if log[1] != 0 or int(exp[0]) != 1:
             raise RuntimeError("table construction failed (internal fault)")
         return exp, log
@@ -613,6 +637,21 @@ def _matmul_modp(a, b, p):
     products of residues runs in Python ints (object dtype) past int64."""
     dtype = np.int64 if a.shape[-1] * (p - 1) ** 2 < 1 << 63 else object
     return (a.astype(dtype, copy=False) @ b.astype(dtype, copy=False) % p).astype(np.int64)
+
+
+def _times_digits(M, X, p):
+    """M @ X mod p for a d x d matrix M over F_p and a digit-major block X
+    (d, B) whose dtype holds d(p-1)^2, as d rank-one updates: numpy runs
+    them as vector operations, where its integer matmul, which has no BLAS,
+    took seven to nine times as long at d = 8 to 22 and B = 2^14 (2-vCPU
+    Xeon, numpy 2.4)."""
+    M = M.astype(X.dtype)
+    out = M[:, :1] * X[0]
+    tmp = np.empty_like(out)
+    for j in range(1, len(X)):
+        out += np.multiply(M[:, j:j + 1], X[j], out=tmp)
+    out %= p
+    return out
 
 
 def _residue_dtype(p):

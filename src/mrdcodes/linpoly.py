@@ -185,10 +185,10 @@ class LinPoly:
         exp, log = t.tables
         acc = np.zeros_like(elems)
         Qm1 = t.order - 1
+        lx = log[elems].astype(np.int64)   # lx * q^i passes int32
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
-            lx = log[elems]
             val = np.where(elems == 0, 0,
                            exp[(lx * pow(t.q, i, Qm1) + int(log[c])) % Qm1])
             acc = _batch.vec_add(t, acc, val)

@@ -91,8 +91,9 @@ def validate_certificate(cert: Certificate) -> bool:
     sweep.  The trinomial and curve methods decide {0,1,3} alone, and
     every MRD verdict on a {0,1,3} support (up to shift, n >= 5, Zech tables
     present) must agree with a fresh run of the trinomial criterion; other
-    MRD scans must be of a Gabidulin support or agree with a fresh scan.
-    Unknown methods fail."""
+    MRD scan and Moore certificates must be of a Gabidulin support or agree
+    with a fresh run of their engine on the same budget.  Unknown methods
+    fail."""
     tw = make_tower(cert.tower["p"], cert.tower["e"], cert.tower["n"])
     desc = cert.code_desc
     if desc.get("kind") != "support" or cert.method not in METHODS:
@@ -122,9 +123,11 @@ def validate_certificate(cert: Certificate) -> bool:
         return False
     if support013 and tw.tables is not None:
         return trinomial_criterion(tw).verdict == VERDICT_MRD
-    if cert.method == "scan" and canon not in progressions:
-        rescan = exhaustive_scan(code, budget=cert.scanned)
-        return rescan.verdict == VERDICT_MRD and rescan.scanned == cert.scanned
+    if cert.method in ("scan", "moore") and canon not in progressions:
+        from . import moore   # here, so that only a Moore re-check loads it
+        engine = exhaustive_scan if cert.method == "scan" else moore.mrd_by_moore
+        again = engine(code, budget=cert.scanned)
+        return again.verdict == VERDICT_MRD and again.scanned == cert.scanned
     return cert.method not in ("trinomial", "curve")
 
 
@@ -294,7 +297,8 @@ def trinomial_criterion(tower, workers: int = 1) -> Certificate:
         raise CapExceeded("the t(Z) histogram needs the Zech tables")
     code = SupportCode(tw, (0, 1, 3), 1)
     q, Q = tw.q, tw.order
-    bad = np.flatnonzero(_t_histogram(tw) >= q * q - 1)
+    values, hits = _t_histogram(tw)
+    bad = values[hits >= q * q - 1]
     if bad.size == 0:
         return Certificate(code.descriptor(), VERDICT_MRD, "trinomial", None,
                            Q, tw.descriptor(), _ms(t0))
@@ -306,9 +310,11 @@ def trinomial_criterion(tower, workers: int = 1) -> Certificate:
                     trace_zero_roots=[tw.coords(z1), tw.coords(z2)])
 
 
-def _t_histogram(tower) -> np.ndarray:
-    """Hits of each packed t in t(Z) = -(Z^{q^2} + Z^q)/Z over the nonzero
-    trace-zero Z (t = 0 where the numerator is 0), by the Zech tables.
+def _t_histogram(tower):
+    """(values, hits): the distinct packed t in t(Z) = -(Z^{q^2} + Z^q)/Z
+    over the nonzero trace-zero Z (t = 0 where the numerator is 0), sorted,
+    and how often each occurs, by the Zech tables.  The q^(n-1) - 1 values
+    are sorted and counted in runs, so no array of Q bins is formed.
 
     Z and -(Z^{q^2} + Z^q) are both F_p-linear in the digits of Z over an
     F_p-basis of the hyperplane, so each combination of the basis rows
@@ -341,7 +347,9 @@ def _t_histogram(tower) -> np.ndarray:
         tz = exp[idx]
         tz[w == 0] = 0
         t_of_z.append(tz)
-    return np.bincount(np.concatenate(t_of_z), minlength=Q)
+    t = np.sort(np.concatenate(t_of_z))
+    starts = np.flatnonzero(np.concatenate([[True], t[1:] != t[:-1]]))
+    return t[starts], np.diff(np.append(starts, t.size))
 
 
 def _trace_rows(tower) -> np.ndarray:

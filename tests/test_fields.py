@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mrdcodes import _batch, _linalg, fields
 from mrdcodes.fields import (MR_EXACT_BELOW, CapExceeded, factorize, inverse_modp,
                              is_prime, make_tower, nullspace_modp, rref_modp,
                              solve_modp, tower_from_descriptor)
+from mrdcodes.linpoly import LinPoly
 
 rng = random.Random(0xF1E1D5)
 
@@ -190,6 +192,66 @@ def test_table_mul_matches_fallback(pen, raw):
     for a, b in raw:
         a, b = 1 + a % (t.order - 1), 1 + b % (t.order - 1)
         assert t.mul(a, b) == t._mul_fallback(a, b)
+
+
+def _whole_matrix_tables(t):
+    """The tables by the earlier build: a (Q-1) x d digit matrix of all the
+    powers of the primitive element, filled by doubling, packed in int64."""
+    Q, d, p = t.order, t.degree, t.p
+    h = t._find_primitive()
+    digits = np.zeros((Q - 1, d), dtype=np.int64)
+    digits[0, 0] = 1
+    filled, hs = 1, h
+    while filled < Q - 1:
+        step = min(filled, Q - 1 - filled)
+        digits[filled:filled + step] = digits[:step] @ t.mult_matrix(hs).T % p
+        hs = t._mul_fallback(hs, t._pow_fallback(h, step))
+        filled += step
+    packed = digits @ np.array(t._pw, dtype=np.int64)
+    log = np.full(Q, -1, dtype=np.int64)
+    log[packed] = np.arange(Q - 1)
+    return np.concatenate([packed, packed]), log
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 1), (3, 1, 1), (2, 1, 8), (3, 1, 9), (2, 1, 16),
+                                 (2, 2, 7), (5, 1, 7)])
+def test_streamed_tables_match_whole_matrix_build(pen):
+    # one block (Q - 1 <= 2^14), and 2, 4 and 5 blocks, the last one ragged
+    t = make_tower(*pen)
+    exp, log = t._build_tables()
+    want_exp, want_log = _whole_matrix_tables(t)
+    assert exp.dtype == np.int32 and log.dtype == np.int32 and log[0] == -1
+    assert np.array_equal(exp, want_exp) and np.array_equal(log, want_log)
+
+
+def test_table_build_peak_is_tables_plus_a_block():
+    # numpy reports its buffers to tracemalloc; the whole-matrix build, with
+    # its (Q-1) x d digits and int64 tables and copies, peaked at 70 MB here
+    t = make_tower(3, 1, 13)
+    tracemalloc.start()
+    try:
+        exp, log = t._build_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = t.degree * fields._ZECH_BLOCK * 8   # one block of int64 digits
+    assert peak <= exp.nbytes + log.nbytes + block
+
+
+@pytest.mark.parametrize("pen", [(5, 1, 7), (5, 1, 8)])
+def test_log_products_past_int32(pen):
+    # an int32 log times an exponent wraps past 2^31: vec_pow with k = Q-2
+    # (as the curve engine inverts) at Q = 5^7, and at Q = 5^8 also the
+    # q^(n-1)-power Frobenius and the roots of x^(q^(n-1)) - x
+    t = make_tower(*pen)
+    Q = t.order
+    a = np.array([t.element_at(m) for m in rng.sample(range(1, Q), 200)], dtype=np.int64)
+    assert _batch.vec_pow(t, a, Q - 2).tolist() == [t.inv(int(x)) for x in a]
+    for i in (1, t.n - 1):
+        assert (_batch.vec_frob_q(t, a, i).tolist()
+                == [t.frobenius_q(int(x), i) for x in a])
+        f = LinPoly.from_support(t, (0, i), (t.neg(1), 1))
+        assert f.roots() == set(t.subfield_elements)   # F_(q^gcd(i, n))
 
 
 @settings(max_examples=30, deadline=None)

@@ -305,12 +305,13 @@ def test_trinomial_in_small_blocks(monkeypatch, q, n):
     # combination of the high rows, down to an empty first block at BATCH = 1)
     t = make_tower(*PE[q], n)
     want = _untimed(rank_sweep_criterion(t))
-    hist = verify._t_histogram(t)
-    assert hist.sum() == q ** (n - 1) - 1
+    values, hits = verify._t_histogram(t)
+    assert hits.sum() == q ** (n - 1) - 1
     for batch in (1, q, 50):
         monkeypatch.setattr(verify, "BATCH", batch)
-        small = verify._t_histogram(t)
-        assert small.sum() == q ** (n - 1) - 1 and (small == hist).all(), batch
+        small_values, small_hits = verify._t_histogram(t)
+        assert (np.array_equal(small_values, values)
+                and np.array_equal(small_hits, hits)), batch
         assert _untimed(verify.trinomial_criterion(t)) == want, batch
 
 
@@ -349,6 +350,10 @@ def test_forged_certificates_rejected():
     assert verify.decide(code).verdict == "NOT_MRD"
     forged = verify.Certificate(code.descriptor(), "MRD", "scan", None,
                                 _batch.projective_index_total(t, 4), t.descriptor(), 0.0)
+    assert not verify.validate_certificate(forged)
+    # and an MRD Moore sweep with the full count [8 4]_2 on the same support
+    forged = verify.Certificate(code.descriptor(), "MRD", "moore", None, 200_787,
+                                t.descriptor(), 0.0)
     assert not verify.validate_certificate(forged)
 
 
