@@ -20,10 +20,13 @@ The subfield F_q is realized as the fixed field of the e-fold p-power
 Frobenius; F_{q^n} is an n-dimensional F_q-space in the power basis of g.
 Multiplication uses discrete-log (Zech) tables for fields up to TABLE_CAP
 elements and falls back to polynomial arithmetic above that.  The tables
-are int32, 12 bytes per element (exp holds 2(Q-1) entries, log Q): every
-packed element and every log is below Q <= TABLE_CAP = 2^23 < 2^31.  A
-product of a log with an exponent can pass 2^31, so such products are
-taken in int64 or Python ints.
+are int32, 8 bytes per element (exp holds Q-1 entries, log Q): every
+packed element and every log is below Q <= TABLE_CAP = 2^23 < 2^31.  exp
+is stored once, so a sum of logs is reduced mod Q-1 before it indexes
+exp; a difference of two logs lies in (-(Q-1), Q-1) and indexes exp as
+it is, since numpy counts a negative index from the end.  A product of a
+log with an exponent can pass 2^31, so such products are taken in int64
+or Python ints.
 
 Enumeration always uses the canonical element order: element #m has
 coordinates c_i = (m // p**(d-1-i)) % p, i.e. coordinate tuples in ascending
@@ -295,7 +298,8 @@ class FieldTower:
         t = self.tables
         if t is not None:
             exp, log = t
-            return int(exp[log[a] + log[b]])
+            s = int(log[a]) + int(log[b])
+            return int(exp[s - len(exp) if s >= len(exp) else s])
         return self._mul_fallback(a, b)
 
     def _mul_fallback(self, a, b):
@@ -320,7 +324,7 @@ class FieldTower:
         t = self.tables
         if t is not None:
             exp, log = t
-            return int(exp[(self.order - 1) - log[a]])
+            return int(exp[-int(log[a])])   # h^-i is exp[Q-1-i], exp[0] at i = 0
         return self.pow(a, self.order - 2)
 
     def pow(self, a: int, k: int) -> int:
@@ -375,9 +379,10 @@ class FieldTower:
     @property
     def tables(self):
         """(exp, log) Zech tables, or None when the field exceeds TABLE_CAP.
-        Both int32 (values below Q <= 2^23): exp[i] = h^i for 0 <= i <
-        2(Q-1), so the sum of two logs indexes it unreduced, and log[x] is
-        the i < Q-1 with h^i = x, log[0] = -1."""
+        Both int32 (values below Q <= 2^23), 8 bytes per element:
+        exp[i] = h^i for 0 <= i < Q-1, and log[x] is the i < Q-1 with
+        h^i = x, log[0] = -1.  A sum of two logs is reduced mod Q-1 before
+        it indexes exp."""
         if self._tables is None:
             if self.order > TABLE_CAP:
                 return None
@@ -449,7 +454,7 @@ class FieldTower:
             hs = self._mul_fallback(hs, self._pow_fallback(h, step))
             filled += step
         h_size = hs   # h^size, from one block start to the next
-        exp = np.empty(2 * (Q - 1), dtype=np.int32)
+        exp = np.empty(Q - 1, dtype=np.int32)
         log = np.full(Q, -1, dtype=np.int32)
         for start in range(0, Q - 1, size):
             cnt = min(size, Q - 1 - start)
@@ -463,7 +468,6 @@ class FieldTower:
                 block *= p
                 block += digits[j]
             log[block] = np.arange(start, start + cnt, dtype=np.int32)
-        exp[Q - 1:] = exp[:Q - 1]
         if log[1] != 0 or int(exp[0]) != 1:
             raise RuntimeError("table construction failed (internal fault)")
         return exp, log

@@ -11,12 +11,13 @@ dimension at most k-1 over F_q.  The engines here decide that by:
   * trinomial_criterion -- the support {0,1,3} reduces to: for every t in
     F_{q^n}, the kernel of Z^{q^2} + Z^q + tZ meets the trace-zero hyperplane
     in dimension at most 1.  Each nonzero Z is a root of the one trinomial
-    with t(Z) = -(Z^{q^2} + Z^q)/Z, so a histogram of t(Z) over the nonzero
-    trace-zero Z, taken through the Zech tables, decides every t at once: a
-    bin with q^2 - 1 or more hits is a 2-dimensional kernel meet.  The
-    hyperplane is enumerated by additions only: the digits of Z and of its
-    numerator are F_p-linear in Z, so each block is one precomputed block
-    of low combinations plus one combination of the high basis rows;
+    with t(Z) = -(Z^{q^2} + Z^q)/Z, and t(lambda Z) = t(Z) for lambda in
+    F_q^*, so a histogram of t(Z) over one Z per F_q-line of the hyperplane,
+    taken through the Zech tables, decides every t at once: a bin with
+    q + 1 or more hits is a 2-dimensional kernel meet.  The lines are
+    enumerated by additions only: the digits of Z and of its numerator are
+    F_p-linear in Z, so each block is a prefix of one precomputed block of
+    low combinations plus one point of the higher basis rows;
   * n9_witness -- for n = 9 and supports {0,s,2s,4s}, an explicit rank-5
     codeword built from a cubic-subfield constant with prescribed relative
     trace and norm;
@@ -282,10 +283,11 @@ def trinomial_criterion(tower, workers: int = 1) -> Certificate:
     at most 1.
 
     Every nonzero Z is a root of exactly one of these trinomials, the one with
-    t(Z) = -(Z^{q^2} + Z^q)/Z, so the bin of t in the histogram of t(Z) over
-    the nonzero trace-zero Z (`_t_histogram`) holds q^m - 1 hits, m the
+    t(Z) = -(Z^{q^2} + Z^q)/Z, and t is constant on F_q-lines, so the bin of
+    t in the histogram of t(Z) over one Z per line of the trace-zero
+    hyperplane (`_t_histogram`) holds (q^m - 1)/(q - 1) hits, m the
     dimension of that kernel meet.  The bad t are the bins with at least
-    q^2 - 1 hits.  `scanned` counts the values of t decided in canonical
+    q + 1 hits.  `scanned` counts the values of t decided in canonical
     order: q^n for MRD, the first bad canonical index plus one otherwise.
     Needs the Zech tables (CapExceeded without them).  `workers` has no
     effect."""
@@ -298,7 +300,7 @@ def trinomial_criterion(tower, workers: int = 1) -> Certificate:
     code = SupportCode(tw, (0, 1, 3), 1)
     q, Q = tw.q, tw.order
     values, hits = _t_histogram(tw)
-    bad = values[hits >= q * q - 1]
+    bad = values[hits >= q + 1]
     if bad.size == 0:
         return Certificate(code.descriptor(), VERDICT_MRD, "trinomial", None,
                            Q, tw.descriptor(), _ms(t0))
@@ -312,42 +314,55 @@ def trinomial_criterion(tower, workers: int = 1) -> Certificate:
 
 def _t_histogram(tower):
     """(values, hits): the distinct packed t in t(Z) = -(Z^{q^2} + Z^q)/Z
-    over the nonzero trace-zero Z (t = 0 where the numerator is 0), sorted,
-    and how often each occurs, by the Zech tables.  The q^(n-1) - 1 values
-    are sorted and counted in runs, so no array of Q bins is formed.
+    over one nonzero Z per F_q-line of the trace-zero hyperplane (t = 0
+    where the numerator is 0), sorted, and how often each occurs, by the
+    Zech tables.  t(lambda Z) = t(Z) for lambda in F_q^*, so a bin holds
+    (q^m - 1)/(q - 1) hits, m the F_q-dimension of its kernel meet.  The
+    (q^(n-1) - 1)/(q - 1) values are sorted and counted in runs, so no
+    array of Q bins is formed.
 
-    Z and -(Z^{q^2} + Z^q) are both F_p-linear in the digits of Z over an
-    F_p-basis of the hyperplane, so each combination of the basis rows
-    carries the digits of both.  The combinations of the low rows, at most
-    BATCH of them, are built once; every block is that low block plus one
-    combination of the high rows, so it costs additions only.  The blocks
-    come in canonical order, though the histogram does not depend on it."""
+    The hyperplane is the image of x -> x^q - x on span(g, ..., g^(n-1)),
+    so b_i = g^(iq) - g^i, i = 1..n-1, is an F_q-basis of it: columns of
+    Frob_q - I, with no elimination.  Its F_p rows are u_j b_i
+    (`fq_span_rows`, u_0..u_{e-1} an F_p-basis of F_q; at e = 1 the plain
+    rows).  Each line has one point u_0 b_i + an F_q-combination of the
+    later b_l, that is u_0 b_i plus an F_p-combination of the rows of the
+    later blocks.  Z and -(Z^{q^2} + Z^q) are both F_p-linear in Z, so each
+    row carries the digits of both.  The combinations of the last rows, at
+    most BATCH of them, are built once; every block is a prefix of them
+    plus u_0 b_i plus one combination of the other later rows, so it costs
+    additions only."""
     exp, log = tower.tables
-    d, p, Q = tower.degree, tower.p, tower.order
+    d, e, n, p, q = tower.degree, tower.e, tower.n, tower.p, tower.q
     neg_base = -(tower.frob_q_matrix(2) + tower.frob_q_matrix(1)) % p
-    hyper = np.array(nullspace_modp(_trace_rows(tower), p))   # trace-zero F_p-basis
-    rows = np.concatenate([hyper, hyper @ neg_base.T % p], axis=1)
+    basis = ((tower.frob_q_matrix(1) - np.eye(d, dtype=np.int64)) % p).T[1:n]
+    hyper = basis if e == 1 else tower.fq_span_rows(basis)   # row (i-1)e + j is u_j b_i
+    dtype = np.min_scalar_type(2 * (p - 1))   # as span_modp, so subtract_p_once applies
+    rows = np.concatenate([hyper, hyper @ neg_base.T % p], axis=1).astype(dtype)
     low = 0
-    while low < len(rows) and p ** (low + 1) <= BATCH:
+    while low < len(rows) - e and p ** (low + 1) <= BATCH:
         low += 1
     split = len(rows) - low
     low_block = np.ascontiguousarray(span_modp(rows[split:], p).T)   # digit-major
-    t_of_z = []
-    for i, high in enumerate(span_modp(rows[:split], p)):
-        block = low_block[:, 1:] if i == 0 else low_block   # combination 0 is Z = 0
-        digits = subtract_p_once(block + high[:, None], p).reshape(2, d, -1)
-        packed = digits[:, d - 1].astype(np.min_scalar_type(Q - 1))
-        for j in range(d - 2, -1, -1):    # Horner's rule, Z and numerator at once
-            packed *= p
-            packed += digits[:, j]
-        z, w = packed
-        idx = log[w]
-        idx -= log[z]
-        idx += Q - 1                      # within the doubled exp table
-        tz = exp[idx]
-        tz[w == 0] = 0
-        t_of_z.append(tz)
-    t = np.sort(np.concatenate(t_of_z))
+    t = np.empty((q ** (n - 1) - 1) // (q - 1), dtype=exp.dtype)
+    pos = 0
+    for lead in range(0, len(rows), e):
+        later = lead + e
+        lows = low_block[:, :p ** min(low, len(rows) - later)]
+        for high in span_modp(rows[later:split], p):
+            shift = subtract_p_once(high + rows[lead], p)
+            digits = subtract_p_once(lows + shift[:, None], p).reshape(2, d, -1)
+            packed = digits[:, d - 1].astype(np.min_scalar_type(tower.order - 1))
+            for j in range(d - 2, -1, -1):    # Horner's rule, Z and numerator at once
+                packed *= p
+                packed += digits[:, j]
+            z, w = packed
+            idx = log[w]
+            idx -= log[z]    # in (-(Q-1), Q-1), wrapped mod Q-1 by take
+            tz = np.take(exp, idx, out=t[pos:pos + idx.size], mode="wrap")
+            tz[w == 0] = 0
+            pos += idx.size
+    t.sort()
     starts = np.flatnonzero(np.concatenate([[True], t[1:] != t[:-1]]))
     return t[starts], np.diff(np.append(starts, t.size))
 

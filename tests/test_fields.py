@@ -217,11 +217,37 @@ def _whole_matrix_tables(t):
                                  (2, 2, 7), (5, 1, 7)])
 def test_streamed_tables_match_whole_matrix_build(pen):
     # one block (Q - 1 <= 2^14), and 2, 4 and 5 blocks, the last one ragged
+    # exp is stored once: the oracle's first Q - 1 entries
     t = make_tower(*pen)
     exp, log = t._build_tables()
     want_exp, want_log = _whole_matrix_tables(t)
     assert exp.dtype == np.int32 and log.dtype == np.int32 and log[0] == -1
-    assert np.array_equal(exp, want_exp) and np.array_equal(log, want_log)
+    assert exp.size == t.order - 1
+    assert np.array_equal(exp, want_exp[:t.order - 1]) and np.array_equal(log, want_log)
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 1), (3, 1, 1), (2, 1, 8), (2, 2, 7), (5, 1, 7)])
+def test_scalar_table_arithmetic_at_the_wrap(pen):
+    # exp holds Q - 1 entries (one at (2, 1, 1)), so log sums at and past
+    # Q - 1 and negated logs must wrap
+    t = make_tower(*pen)
+    exp, log = t.tables
+    Qm1 = t.order - 1
+    assert exp.size == Qm1
+    for s in (Qm1 - 1, Qm1, 2 * Qm1 - 2):
+        if s > 2 * (Qm1 - 1):
+            continue   # at (2, 1, 1) every log is 0
+        i = min(s, Qm1 - 1)
+        a, b = int(exp[i]), int(exp[s - i])
+        assert int(log[a]) + int(log[b]) == s
+        assert t.mul(a, b) == t._mul_fallback(a, b), s
+    h = int(exp[1 % Qm1])
+    assert t.inv(1) == 1
+    assert t.inv(h) == t._pow_fallback(h, Qm1 - 1) and t._mul_fallback(t.inv(h), h) == 1
+    for i in {0, 1 % Qm1, Qm1 // 2, Qm1 - 1}:
+        a = int(exp[i])
+        assert t.pow(a, Qm1) == t._pow_fallback(a, Qm1) == 1
+        assert t.pow(a, -1) == t._pow_fallback(a, Qm1 - 1)
 
 
 def test_table_build_peak_is_tables_plus_a_block():
@@ -235,6 +261,7 @@ def test_table_build_peak_is_tables_plus_a_block():
     finally:
         tracemalloc.stop()
     block = t.degree * fields._ZECH_BLOCK * 8   # one block of int64 digits
+    assert exp.nbytes + log.nbytes == 4 * (t.order - 1) + 4 * t.order
     assert peak <= exp.nbytes + log.nbytes + block
 
 

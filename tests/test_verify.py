@@ -306,13 +306,62 @@ def test_trinomial_in_small_blocks(monkeypatch, q, n):
     t = make_tower(*PE[q], n)
     want = _untimed(rank_sweep_criterion(t))
     values, hits = verify._t_histogram(t)
-    assert hits.sum() == q ** (n - 1) - 1
+    assert hits.sum() == (q ** (n - 1) - 1) // (q - 1)   # one Z per F_q-line
     for batch in (1, q, 50):
         monkeypatch.setattr(verify, "BATCH", batch)
         small_values, small_hits = verify._t_histogram(t)
         assert (np.array_equal(small_values, values)
                 and np.array_equal(small_hits, hits)), batch
         assert _untimed(verify.trinomial_criterion(t)) == want, batch
+
+
+def _full_hyperplane_histogram(tower, batch=1 << 16):
+    """The earlier `_t_histogram`: t(Z) over every nonzero trace-zero Z, from
+    an F_p-basis of the hyperplane by elimination, with the log difference
+    reduced mod Q - 1 (the earlier exp held 2(Q-1) entries)."""
+    from mrdcodes.fields import nullspace_modp, span_modp, subtract_p_once
+    exp, log = tower.tables
+    d, p, Q = tower.degree, tower.p, tower.order
+    neg_base = -(tower.frob_q_matrix(2) + tower.frob_q_matrix(1)) % p
+    hyper = np.array(nullspace_modp(verify._trace_rows(tower), p))
+    rows = np.concatenate([hyper, hyper @ neg_base.T % p], axis=1)
+    low = 0
+    while low < len(rows) and p ** (low + 1) <= batch:
+        low += 1
+    split = len(rows) - low
+    low_block = np.ascontiguousarray(span_modp(rows[split:], p).T)
+    t_of_z = []
+    for i, high in enumerate(span_modp(rows[:split], p)):
+        block = low_block[:, 1:] if i == 0 else low_block   # combination 0 is Z = 0
+        digits = subtract_p_once(block + high[:, None], p).reshape(2, d, -1)
+        packed = digits[:, d - 1].astype(np.min_scalar_type(Q - 1))
+        for j in range(d - 2, -1, -1):
+            packed *= p
+            packed += digits[:, j]
+        z, w = packed
+        idx = log[w].astype(np.int64) - log[z]
+        tz = exp[idx % (Q - 1)]
+        tz[w == 0] = 0
+        t_of_z.append(tz)
+    t = np.sort(np.concatenate(t_of_z))
+    starts = np.flatnonzero(np.concatenate([[True], t[1:] != t[:-1]]))
+    return t[starts], np.diff(np.append(starts, t.size))
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 5), (2, 1, 8), (3, 1, 7), (3, 1, 9), (2, 2, 7),
+                                 (2, 3, 5), (3, 2, 5), (5, 1, 7), (7, 1, 7), (13, 1, 5)])
+def test_line_histogram_matches_full_hyperplane(monkeypatch, pen):
+    # t is constant on F_q-lines: the same values, each hit q - 1 times fewer.
+    # BATCH = 1, q and 50 give leads whose tails are shorter than the low
+    # block and leads whose tails are longer
+    t = make_tower(*pen)
+    q = t.q
+    want_values, want_hits = _full_hyperplane_histogram(t)
+    for batch in (verify.BATCH, 1, q, 50):
+        monkeypatch.setattr(verify, "BATCH", batch)
+        values, hits = verify._t_histogram(t)
+        assert np.array_equal(values, want_values), batch
+        assert np.array_equal(want_hits, (q - 1) * hits), batch
 
 
 @pytest.mark.parametrize("q,n,verdict,scanned", [
