@@ -1,21 +1,25 @@
 """Vectorized mod-p kernels for the scan engines.
 
-Codewords of a support code are F_p-linear in their coefficient coordinates,
-so a whole batch of codeword matrices is one integer matmul: for coefficient
-coordinate rows A (batch x k*d) and the precomputed block matrix L
-(k*d x d*d), the batch of d x d map matrices is (A @ L) % p.  A general
-code's maps come from the same L on the full support {0, ..., n-1}, taken
-on the F_q-span of its basis (codes.GeneralCode.min_distance), so
-SupportBlockMatrix is the one block matrix, and its ranks() is the one
-entry of the rank sweeps.  Ranks are taken by Gauss-Jordan vectorized
-over the batch dimension, which is laid out last, (r, c, B), so that every
-step is a sweep over contiguous rows of the batch.  At odd p the entries
-grow lazily between reductions mod p, in the smallest integer dtype their
-bound fits (lazy_dtype).  At p = 2 the batch dimension is packed into bits,
+Codewords of a support code are F_p-linear in their coefficient coordinates:
+for coefficient coordinate rows A (batch x k*d) and the precomputed block
+matrix L (k*d x d*d), the batch of d x d map matrices is (A @ L) % p.  A
+general code's maps come from the same L on the full support {0, ..., n-1},
+taken on the F_q-span of its basis (codes.GeneralCode.min_distance), and
+the curve engine's from L on the coefficients of its line maps, so
+SupportBlockMatrix is the one block matrix, and its rep_ranks() is the one
+entry of the rank sweeps.  The sweeps never form A or the product: a map is
+named by an index whose base-p digits are its coordinates, and it is the
+sum of one row per block of digits from tables of L's digit combinations
+(the table idea of the Method of Four Russians), built batch-last.
+Ranks are taken by Gauss-Jordan vectorized over the batch dimension, which
+is laid out last, (r, c, B), so that every step is a sweep over contiguous
+rows of the batch.  At odd p the entries grow lazily between reductions
+mod p, in the smallest integer dtype their bound fits (lazy_dtype; int8 at
+p = 3 up to 31 columns).  At p = 2 the batch dimension is packed into bits,
 eight matrices to a byte, and elimination is AND, OR and XOR on the packed
 rows (bit slicing, as in M4RI); both follow the same pivot rule and leave
-the same reduced batch.  ranks() builds that packed batch without the
-matmul: a map entry is the XOR of the packed coordinate rows whose row of
+the same reduced batch.  rep_ranks() builds that packed batch from the bits
+of the indices: a map entry is the XOR of the packed bit rows whose row of
 L has a 1 there.
 
 Element order everywhere is the canonical one from fields: element #m has
@@ -29,9 +33,10 @@ import math
 
 import numpy as np
 
-from .fields import _residue_dtype
+from .fields import _residue_dtype, span_modp
 
 INVERSE_TABLE_MAX = 1 << 20   # largest p whose inverses come from a table
+TABLE_SPAN = 256              # most rows of a digit table of two or more digits
 
 
 @functools.lru_cache(maxsize=None)
@@ -63,13 +68,15 @@ def work_dtype(p: int):
 
 
 def lazy_dtype(p: int, c: int):
-    """The dtype _modp_eliminate works in on matrices of c columns.  Its
-    entries start as residues and each of the c column steps subtracts at
-    most one product of two residues, so every entry stays within
-    (p-1) + c*(p-1)^2: the first of int16, int32 and int64 that holds that
-    bound, else Python ints (object)."""
+    """The dtype _modp_eliminate works in on matrices of c columns, in which
+    SupportBlockMatrix.index_maps builds its maps.  The entries start as
+    residues and each of the c column steps subtracts at most one product
+    of two residues, so every entry stays within (p-1) + c*(p-1)^2: the
+    first of int8, int16, int32 and int64 that holds that bound, else
+    Python ints (object).  int8 holds it at p = 3 up to c = 31, at p = 5 up
+    to c = 7."""
     bound = (p - 1) + c * (p - 1) ** 2
-    for dtype in (np.int16, np.int32, np.int64):
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
         if bound <= np.iinfo(dtype).max:
             return dtype
     return object
@@ -125,17 +132,25 @@ def _modp_eliminate(m: np.ndarray, p: int) -> np.ndarray:
     used = np.zeros((r, B), dtype=bool)
     for col in range(c):
         v = m[:, col]
-        v %= p
+        _reduce(v, p)
         cand = (v != 0) & ~used
         sel = cand.copy()
         sel[1:] &= ~np.logical_or.accumulate(cand[:-1], axis=0)
         pivot = (m[:, col:] * sel[:, None, :]).sum(axis=0, dtype=m.dtype)
-        pivot %= p
+        _reduce(pivot, p)
         pivot *= inverses(pivot[0], p)
-        pivot %= p
+        _reduce(pivot, p)
         m[:, col:] -= (v * ~sel)[:, None, :] * pivot
         used |= sel
     return used.sum(axis=0)
+
+
+def _reduce(a: np.ndarray, p: int) -> None:
+    """a %= p in place, as a -= a // p * p: numpy divides an integer array
+    by a scalar with vectorized code, and its remainder is not, 13 times
+    slower on int8 and 2 times on int64.  A product a // p * p that wraps
+    is harmless, since the result is exact mod 2^bits and lies in [0, p)."""
+    a -= a // p * p
 
 
 def _gf2_gauss_jordan(m: np.ndarray) -> np.ndarray:
@@ -177,8 +192,9 @@ def stacked_ranks(top: np.ndarray, bottom: np.ndarray, p: int):
     and (B, r2, c), from one elimination of the stacked batch.  A lower row
     becomes a pivot only where every unused top row is zero in its column,
     so the top block is reduced exactly as it would be alone and its rank
-    is the number of its rows left nonzero."""
-    m = np.concatenate([top, bottom], axis=1, dtype=work_dtype(p))
+    is the number of its rows left nonzero.  The stacked batch is made
+    C-contiguous, so that batch_rank reduces it in place."""
+    m = np.ascontiguousarray(np.concatenate([top, bottom], axis=1), dtype=work_dtype(p))
     both = batch_rank(m, p)
     return m[:, :top.shape[1]].any(axis=2).sum(axis=1), both
 
@@ -224,6 +240,14 @@ def distinct(a: np.ndarray) -> np.ndarray:
     return s[keep]
 
 
+def _block_digits(p: int) -> int:
+    """Digits per digit table: the largest b >= 1 with p^b <= TABLE_SPAN."""
+    b = 1
+    while p ** (b + 1) <= TABLE_SPAN:
+        b += 1
+    return b
+
+
 class SupportBlockMatrix:
     """Precomputed L with rows (i*d + j) = flatten(Mult(g^j) @ Frob(u_i)) for a
     support-code with q-exponents u_0 < ... < u_{k-1}; Mult(g^j) is the j-th
@@ -231,12 +255,22 @@ class SupportBlockMatrix:
     `rows` (m x k*d) over F_p, L is rows @ L instead: the block of the m
     codewords with those coordinates, whose F_p-combinations it maps.
 
-    ranks() is the rank sweeps' one entry; rep_ranks() takes the scan's
-    projective representatives to it.  At odd p it ranks matrices().  At
-    p = 2 it never forms the int64 product: the coordinate rows are packed
-    along the batch axis, eight to a byte, and each packed map entry is the
-    XOR of the packed rows that L's boolean masks select, built straight in
-    the layout _gf2_eliminate reduces (bit slicing, as in M4RI).
+    The sweeps name their maps by index: index_maps(idx, lead) is row `lead`
+    of L plus the F_p-combination of L's last rows whose coefficients are
+    the base-p digits of idx, the last row taking the least significant
+    one.  A scan representative is lead = the first row of its lead
+    coefficient and idx = its raw tail index: Q = p^d, so the tail's
+    base-p digits are its coefficients' coordinates.  The maps are gathered
+    from digit tables (`tables`; the table idea of the Method of Four
+    Russians), and no coordinate rows are formed; matrices() forms the
+    product of coordinate rows and L, as the tests' oracle.
+
+    rep_ranks() is the rank sweeps' one entry.  At odd p it eliminates
+    index_maps() in place.  At p = 2 the digits are bits: the bit rows of
+    the indices are packed along the batch axis, eight to a byte, and each
+    packed map entry is the XOR of the packed rows that L's boolean masks
+    select, built straight in the layout _gf2_eliminate reduces (bit
+    slicing, as in M4RI).
     """
 
     def __init__(self, tower, q_exponents, rows=None):
@@ -259,36 +293,60 @@ class SupportBlockMatrix:
         flat = coeff_coords @ self.L % t.p
         return flat.reshape(-1, self.d, self.d)
 
-    def ranks(self, coeff_coords: np.ndarray) -> np.ndarray:
-        """Ranks over F_p of matrices(coeff_coords)."""
-        if self.tower.p != 2:
-            return batch_rank(self.matrices(coeff_coords), self.tower.p)
-        packed = np.packbits(coeff_coords.T.astype(np.uint8), axis=1)
-        return self._xor_ranks(zip(self._masks, packed), coeff_coords.shape[0])
+    @functools.cached_property
+    def tables(self) -> list:
+        """The digit tables of L, built on first use.  L's rows are cut into
+        blocks of b = _block_digits(p) consecutive rows counted from the
+        last one, so that table i takes digits i*b .. i*b+b-1 of an index
+        (L's first block may be shorter).  Row v of table i, shape
+        (p^b, d*d) in lazy_dtype(p, d), is the map of the block's rows
+        combined with v's base-p digits as coefficients, reduced mod p:
+        fields.span_modp of the block, outer sums with no product."""
+        p, L, b = self.tower.p, self.L, _block_digits(self.tower.p)
+        return [span_modp(L[max(end - b, 0):end], p).astype(lazy_dtype(p, self.d))
+                for end in range(len(L), 0, -b)]
 
-    def rep_ranks(self, lead, tails) -> np.ndarray:
-        """ranks(projective_coords(tower, lead, tails)).  At p = 2 coordinate
-        c_i of element #m is bit d-1-i of m, so the packed coordinate rows
-        are taken straight from the bits of the tail indices."""
-        t, d = self.tower, self.d
-        if t.p != 2:
-            return self.ranks(projective_coords(t, lead, tails))
-        B = tails.shape[0]
+    def index_maps(self, idx: np.ndarray, lead=None) -> np.ndarray:
+        """The maps L[lead] + sum_i digit_i(idx) L[m-1-i] over F_p, digit_i
+        the base-p digit of weight p^i of idx < p^D, L of m rows and D of
+        them after row lead (all m when lead is None, which drops the lead
+        row).  Shape (d*d, B) in lazy_dtype(p, d), reduced mod p: column b
+        is map b flattened, the batch-last layout _modp_eliminate reduces.
+
+        One table row is gathered per block of digits; the rows are summed,
+        reduced once and written batch-last.  An int64 idx has at most 40
+        base-p digits at p = 3, 28 at p = 5, 23 at p = 7 and 19 at p = 11,
+        so with p^b <= TABLE_SPAN the sum holds at most 11 residues where
+        lazy_dtype is int8 (p <= 11), and it fits every wider one."""
+        tables, p, dd = self.tables, self.tower.p, self.d * self.d
+        m = self.L.shape[0]
+        D = m if lead is None else m - 1 - lead
+        b = _block_digits(p)
+        acc = np.zeros((idx.shape[0], dd), dtype=tables[0].dtype)
+        if lead is not None:
+            acc += self.L[lead].astype(acc.dtype)
+        rest = idx
+        for table in tables[:-(-D // b)]:
+            rest, digits = np.divmod(rest, p ** b)
+            acc += table.take(digits, axis=0)
+        _reduce(acc, p)
+        return np.ascontiguousarray(acc.T)
+
+    def rep_ranks(self, lead, idx: np.ndarray) -> np.ndarray:
+        """Ranks over F_p of the maps index_maps(idx, lead), one per index."""
+        d, p = self.d, self.tower.p
+        if p != 2:
+            return _modp_eliminate(self.index_maps(idx, lead).reshape(d, d, -1), p)
+        B = idx.shape[0]
+        D = self.L.shape[0] - 1 - lead
+        # bit j of idx at column D-1-j of (B, D), then packed along the batch
+        planes = np.unpackbits(np.ascontiguousarray(idx, dtype="<u8").view(np.uint8)
+                               .reshape(B, 8), axis=1, count=D, bitorder="little")
+        rows = np.packbits(planes[:, ::-1], axis=0).T              # (D, ceil(B/8))
         ones = np.packbits(np.ones(B, dtype=np.uint8))
-        x = tails.T.astype(np.min_scalar_type(t.order - 1))
-        shifts = np.arange(d - 1, -1, -1, dtype=x.dtype)[:, None]
-        planes = (x[:, None, :] >> shifts).astype(np.uint8) & 1   # (tails, d, B)
-        rows = np.packbits(planes.reshape(x.shape[0] * d, B), axis=1)
-        masks = self._masks[lead * d:]
-        # the lead coefficient 1 is coordinate c_0 = 1; rows before it are zero
-        return self._xor_ranks([(masks[0], ones), *zip(masks[d:], rows)], B)
-
-    def _xor_ranks(self, pairs, B) -> np.ndarray:
-        """Ranks of B maps at p = 2 from (mask, row) pairs: a coordinate row
-        packed along the batch axis and the map entries its row of L feeds."""
-        d = self.d
         bits = np.zeros((d * d, (B + 7) // 8), dtype=np.uint8)
-        for mask, row in pairs:
+        for mask, row in [(self._masks[lead], ones),
+                          *zip(self._masks[self.L.shape[0] - D:], rows)]:
             bits[mask] ^= row
         return _gf2_eliminate(bits.reshape(d, d, -1), B)
 

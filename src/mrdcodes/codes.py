@@ -125,8 +125,8 @@ class SupportCode:
         sweep = _batch.OrbitSweep(t, self.q_support())
         best = t.n
         for lead, start, count in sweep.chunks(1 << 16, 1 << 16):
-            tails, _, _ = sweep.representatives(lead, start, count)
-            ranks = sb.rep_ranks(lead, tails)
+            _, raw, _ = sweep.representatives(lead, start, count)
+            ranks = sb.rep_ranks(lead * t.degree, raw)
             best = min(best, int(ranks.min()) // t.e)
         return best
 
@@ -287,10 +287,11 @@ class GeneralCode:
         """Minimum rank over nonzero codewords, one per F_q-line: lead scalar
         u_0 (the first of fq_basis_fp) and every F_q tail after it.  The
         maps of u_j*f_i are the rows of one block (the full support's
-        SupportBlockMatrix on the fq_span_rows), a codeword's map is its
-        F_p-coordinates times that block, and the block's ranks() ranks
-        them."""
-        t, k, e, p = self.tower, self.dim, self.tower.e, self.tower.p
+        SupportBlockMatrix on the fq_span_rows), and a codeword's map is its
+        F_p-coordinates times that block.  The block's rep_ranks() ranks the
+        codewords of lead row lead*e from their tail indices, whose base-p
+        digits are the tails' F_p-coordinates."""
+        t, k, e = self.tower, self.dim, self.tower.e
         if k == 0:
             raise ValueError("the zero code has no minimum distance")
         if t.q ** k > budget:
@@ -302,10 +303,7 @@ class GeneralCode:
             tails = k - 1 - lead
             for start in range(0, t.q ** tails, 1 << 16):
                 idx = np.arange(start, min(start + (1 << 16), t.q ** tails))
-                coords = np.zeros((len(idx), k * e), dtype=np.int64)
-                coords[:, lead * e] = 1
-                coords[:, (lead + 1) * e:] = _batch.element_coord_columns(idx, p, tails * e)
-                best = min(best, int(maps.ranks(coords).min()) // e)
+                best = min(best, int(maps.rep_ranks(lead * e, idx).min()) // e)
         return best
 
     def descriptor(self) -> dict:

@@ -30,6 +30,7 @@ whose equality with the product is exercised by the test suite.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -171,19 +172,27 @@ class CurveCount:
                 "mrd_consistent": self.mrd_consistent}
 
 
+@functools.lru_cache(maxsize=64)
+def _line_block(p, e, n, j):
+    """The block matrix of the line maps for j: rows Lambda_j take the
+    coordinates of x to those of the coefficients (x^{q^j} - x^q,
+    x - x^{q^j}, x^q - x) of the support (0, 1, j), which are F_p-linear
+    in x through the q-Frobenius matrices."""
+    t = make_tower(p, e, n)
+    fq, fj = t.frob_q_matrix(1).T, t.frob_q_matrix(j).T
+    one = np.eye(t.degree, dtype=np.int64)
+    rows = np.concatenate([fj - fq, one - fj, fq - one], axis=1) % p
+    return _batch.SupportBlockMatrix(t, (0, 1, j), rows)
+
+
 def _line_maps(tower, idx, j):
     """The (len(idx), d, d) matrices over F_p of y -> (x^q - x^{q^j}) v +
     (y^{q^j} - y^q) u for the elements x of canonical indices idx: M_H for
-    j = 3, M_W for j = 2.  Their coefficients (-a_j, a_j - u, u) are
-    F_p-linear in x, so their coordinates come from the q-Frobenius
-    matrices and the support block matrices turn them into maps."""
-    from .verify import _support_block
-    t, p = tower, tower.p
-    X = _batch.element_coord_columns(idx, p, t.degree)
-    Xq = X @ t.frob_q_matrix(1).T
-    Xj = X @ t.frob_q_matrix(j).T
-    coeffs = np.concatenate([Xj - Xq, X - Xj, Xq - X], axis=1) % p
-    return _support_block(t.p, t.e, t.n, (0, 1, j)).matrices(coeffs)
+    j = 3, M_W for j = 2.  The digits of idx are the coordinates of x, so
+    the maps come from the digit tables of _line_block(j)."""
+    t, d = tower, tower.degree
+    maps = _line_block(t.p, t.e, t.n, j).index_maps(idx)
+    return maps.reshape(d, d, -1).transpose(2, 0, 1)
 
 
 def _x_blocks(tower):

@@ -195,8 +195,8 @@ def _orbit_sweep(p, e, n, exps):
 def _scan_chunk(args):
     """(first bad position in the block or -1, orbit sizes summed)."""
     p, e, n, exps, threshold, lead, start, count = args
-    tails, _, orbit = _orbit_sweep(p, e, n, exps).representatives(lead, start, count)
-    ranks = _support_block(p, e, n, exps).rep_ranks(lead, tails)
+    _, raw, orbit = _orbit_sweep(p, e, n, exps).representatives(lead, start, count)
+    ranks = _support_block(p, e, n, exps).rep_ranks(lead * e * n, raw)
     bad = np.flatnonzero(ranks < threshold)
     return (-1 if bad.size == 0 else int(bad[0])), int(orbit.sum())
 
@@ -235,7 +235,9 @@ def exhaustive_scan(code: SupportCode, budget: int = DEFAULT_BUDGET,
                            t.descriptor(), _ms(t0))
     threshold = t.degree - t.e * (k - 1)  # rank below this means kernel >= k
     sweep = _orbit_sweep(t.p, t.e, t.n, exps)
-    _support_block(t.p, t.e, t.n, exps)  # build before any fork
+    # build before any fork; its digit tables are built by the first block,
+    # which always runs in-process
+    _support_block(t.p, t.e, t.n, exps)
     chunks = [(t.p, t.e, t.n, exps, threshold, lead, start, count)
               for lead, start, count in sweep.chunks(FIRST_CHUNK, BATCH)]
     # the pool starts only once the blocks reach BATCH: a short sweep, or

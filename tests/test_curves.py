@@ -436,3 +436,29 @@ def test_corrected_gap_inequality_also_holds():
         for n in range(10, 21):
             lhs = q ** n + 1 - (q * q * (q * q - 1) + q * q - q)
             assert lhs > 0 and lhs * lhs > 4 * g * g * q ** n
+
+
+def _line_maps_by_coordinates(t, idx, j):
+    """The line maps built from coordinate rows: the coordinates of x,
+    their images under the q-Frobenius matrices, and their product with the
+    support block of (0, 1, j)."""
+    p = t.p
+    X = _batch.element_coord_columns(idx, p, t.degree)
+    Xq = X @ t.frob_q_matrix(1).T
+    Xj = X @ t.frob_q_matrix(j).T
+    coeffs = np.concatenate([Xj - Xq, X - Xj, Xq - X], axis=1) % p
+    return _batch.SupportBlockMatrix(t, (0, 1, j)).matrices(coeffs)
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 1, 7), (2, 2, 7), (3, 1, 8), (2, 1, 8)])
+def test_line_maps_match_coordinate_rows(p, e, n):
+    # the digit-table maps against the product, on the four towers of the
+    # benchmark's curve engine, in blocks of 16, 4096 and a ragged 1027
+    # ending at the last element
+    t = make_tower(p, e, n)
+    for j in (2, 3):
+        for start, size in ((0, 16), (16, 4096), (t.order - 1027, 1027)):
+            idx = np.arange(start, min(start + size, t.order), dtype=np.int64)
+            got = curves._line_maps(t, idx, j)
+            assert got.dtype == _batch.lazy_dtype(p, t.degree)
+            assert np.array_equal(got, _line_maps_by_coordinates(t, idx, j))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mrdcodes import _batch, _linalg, fields
+from mrdcodes import _batch, _linalg, fields, verify
 from mrdcodes.fields import (MR_EXACT_BELOW, CapExceeded, factorize, inverse_modp,
                              is_prime, make_tower, nullspace_modp, rref_modp,
                              solve_modp, tower_from_descriptor)
@@ -341,11 +341,38 @@ def _draw_coords(gen, B, width, p):
     return np.where(keep, gen.integers(1, p, size=(B, width)), 0)
 
 
-def _assert_ranks_match(sb, coords):
-    want = _batch.batch_rank(sb.matrices(coords), sb.tower.p)
-    got = sb.ranks(coords)
+def _index_coords(sb, lead, idx):
+    """The coordinate rows of index_maps(idx, lead): 1 at row lead (none if
+    lead is None) and the base-p digits of idx, most significant first, on
+    L's last rows."""
+    p, m = sb.tower.p, sb.L.shape[0]
+    D = m if lead is None else m - 1 - lead
+    coords = np.zeros((idx.shape[0], m), dtype=np.int64)
+    if lead is not None:
+        coords[:, lead] = 1
+    coords[:, m - D:] = _batch.element_coord_columns(idx, p, D)
+    return coords
+
+
+def _assert_ranks_match(sb, lead, digits):
+    """rep_ranks(lead, idx) for the indices whose base-p digits are the rows
+    of `digits` against batch_rank of matrices(), the product of the
+    coordinate rows and L."""
+    p = sb.tower.p
+    idx = digits @ p ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64)
+    want = _batch.batch_rank(sb.matrices(_index_coords(sb, lead, idx)), p)
+    got = sb.rep_ranks(lead, idx)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
     return got
+
+
+def _index_leads(sb):
+    """Lead rows whose indices fit int64: the first such, a middle one and
+    the last row."""
+    m, first = sb.L.shape[0], 0
+    while sb.tower.p ** (m - 1 - first) >= 1 << 63:
+        first += 1
+    return sorted({first, (first + m - 1) // 2, m - 1})
 
 
 @pytest.mark.parametrize("pen, T", [((2, 1, 9), (0, 1, 3, 4)), ((2, 1, 7), (0, 1, 3)),
@@ -353,12 +380,12 @@ def _assert_ranks_match(sb, coords):
                                     ((3, 1, 7), (0, 1, 3)), ((3, 2, 3), (0, 1)),
                                     ((2, 1, 64), (0, 5, 17)), ((2, 4, 16), (0, 2))])
 def test_support_block_ranks_match_batch_rank(pen, T):
-    # at p = 2 ranks() builds the maps bit-packed, without the matmul; batch
-    # sizes off a multiple of 8 leave a partly filled byte of bits.  Up to
-    # degree 16 also a general code's block (rows @ L on the full support,
-    # as GeneralCode.min_distance builds it) and blocks of the scan's
-    # canonical representatives for every lead, whose rep_ranks() at p = 2
-    # packs the coordinate rows from the bits of the tail indices
+    # rep_ranks builds the maps from the digits of their indices, without
+    # the product, bit-packed at p = 2, where batch sizes off a multiple of
+    # 8 leave a partly filled byte of bits.  Up to degree 16 also a general
+    # code's block (rows @ L on the full support, as
+    # GeneralCode.min_distance builds it) and blocks of the scan's canonical
+    # representatives for every lead, taken by their raw tail indices
     t = make_tower(*pen)
     gen = np.random.default_rng(sum(pen) * 31 + len(T))
     blocks = [_batch.SupportBlockMatrix(t, T)]
@@ -368,18 +395,27 @@ def test_support_block_ranks_match_batch_rank(pen, T):
         blocks.append(_batch.SupportBlockMatrix(t, range(t.n), rows))
         assert blocks[1].L.shape == (3 * t.e, t.degree ** 2)
         sizes = (0, 1, 7, 8, 9, 1027)
+    else:
+        # an index reaches only L's last 64 rows there: a block of four
+        # codewords, the first one zero, so that ranks fall
+        rows = _draw_coords(gen, 4, len(T) * t.degree, t.p)
+        rows[0] = 0
+        blocks.append(_batch.SupportBlockMatrix(t, T, rows))
     seen = set()
     for sb in blocks:
-        for B in sizes:
-            ranks = _assert_ranks_match(sb, _draw_coords(gen, B, sb.L.shape[0], t.p))
-            seen.update(ranks.tolist())
+        for lead in _index_leads(sb):
+            for B in sizes:
+                digits = _draw_coords(gen, B, sb.L.shape[0] - 1 - lead, t.p)
+                seen.update(_assert_ranks_match(sb, lead, digits).tolist())
     assert t.degree in seen and min(seen) < t.degree
     if t.degree <= 16:
         sweep = _batch.OrbitSweep(t, T)
+        sb = blocks[0]
         for lead, total in enumerate(sweep.counts):
-            tails, _, _ = sweep.representatives(lead, 0, min(total, 1027))
-            want = _assert_ranks_match(blocks[0], _batch.projective_coords(t, lead, tails))
-            got = blocks[0].rep_ranks(lead, tails)
+            tails, raw, _ = sweep.representatives(lead, 0, min(total, 1027))
+            coords = _batch.projective_coords(t, lead, tails)
+            want = _batch.batch_rank(sb.matrices(coords), t.p)
+            got = sb.rep_ranks(lead * t.degree, raw)
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
@@ -403,7 +439,111 @@ def test_support_block_ranks_random(block, seed):
     t = make_tower(*pen)
     gen = np.random.default_rng(seed)
     sb = _batch.SupportBlockMatrix(t, T)
-    _assert_ranks_match(sb, _draw_coords(gen, B, sb.L.shape[0], t.p))
+    for lead in _index_leads(sb):
+        _assert_ranks_match(sb, lead, _draw_coords(gen, B, sb.L.shape[0] - 1 - lead, t.p))
+
+
+def _assert_index_maps_match(sb, lead, idx):
+    """index_maps(idx, lead) against matrices(), the product of the
+    coordinate rows and L: equal maps, batch-last, in lazy_dtype(p, d)."""
+    p, d = sb.tower.p, sb.d
+    got = sb.index_maps(idx, lead)
+    want = sb.matrices(_index_coords(sb, lead, idx))
+    assert got.dtype == _batch.lazy_dtype(p, d) and got.shape == (d * d, idx.shape[0])
+    assert np.array_equal(got.reshape(d, d, -1).transpose(2, 0, 1), want)
+
+
+@pytest.mark.parametrize("pen, T", [((3, 1, 5), (0, 1, 3)), ((3, 2, 3), (0, 1, 2)),
+                                    ((5, 1, 4), (0, 1, 3)), ((5, 2, 2), (0, 1)),
+                                    ((7, 1, 3), (0, 1, 2)), ((7, 2, 2), (0, 1)),
+                                    ((13, 1, 3), (0, 1)), ((13, 2, 2), (0, 1))])
+def test_index_maps_match_matrices(pen, T):
+    # every lead row of the support block and of a general block (rows @ L),
+    # and no lead: indices 0, p^D - 1 (every digit p - 1) and random ones,
+    # in batches of 1 and 1000.  k*d is not a multiple of the digits per
+    # table at (3,1,5) (5 of 15 rows), (3,2,3) (18 rows), (5,*) (3 digits)
+    # and (7,1,3) (2 digits of 9 rows), so L's first table is short there,
+    # and most D leave the last table used partly filled
+    t = make_tower(*pen)
+    p = t.p
+    gen = np.random.default_rng(sum(pen))
+    rows = _draw_coords(gen, 5, len(T) * t.degree, p)
+    for sb in (_batch.SupportBlockMatrix(t, T), _batch.SupportBlockMatrix(t, T, rows)):
+        m = sb.L.shape[0]
+        for lead in [None, *range(m)]:
+            D = m if lead is None else m - 1 - lead
+            if p ** D >= 1 << 63:
+                continue
+            idx = np.concatenate([[0, p ** D - 1],
+                                  gen.integers(0, p ** D, size=998, dtype=np.int64)])
+            for B in (1, 1000):
+                _assert_index_maps_match(sb, lead, idx[:B])
+
+
+def test_index_maps_one_digit_tables_at_the_scan_budget():
+    # the largest p whose k = 2 scan fits the default budget at n = 2:
+    # (Q^2 - 1) / (Q - 1) = p^2 + 1 <= 2^28.  Every table takes one digit and
+    # has p rows, here in int32
+    p = 16381
+    assert is_prime(p) and not any(is_prime(q) for q in (16382, 16383))
+    assert p ** 2 + 1 <= verify.DEFAULT_BUDGET < 16384 ** 2 + 1
+    t = make_tower(p, 1, 2)
+    sb = _batch.SupportBlockMatrix(t, (0, 1))
+    assert [tb.shape for tb in sb.tables] == [(p, 4)] * 4
+    assert sb.tables[0].dtype == np.int32
+    gen = np.random.default_rng(p)
+    idx = gen.integers(0, p ** 2, size=500, dtype=np.int64)
+    idx[:3] = 0, p ** 2 - 1, p - 1
+    for lead in (None, 0, 1, 2, 3):
+        D = 4 if lead is None else 3 - lead
+        _assert_index_maps_match(sb, lead, idx % p ** D)
+
+
+def _int64_digits(p):
+    """The most base-p digits of a nonnegative int64."""
+    return next(D for D in range(1, 64) if p ** D >= 1 << 63)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_index_maps_accumulator_worst_case(p):
+    # the most table rows summed before index_maps reduces: an index with
+    # every base-p digit of an int64 in use, one table each b digits, and a
+    # lead.  Rows are 0 but for one per block, set so that each gathered
+    # entry and the lead are p - 1; at d = 1 the work dtype is int8 for these
+    # p, and a wrapped sum would change the residue at odd p
+    t = make_tower(p, 1, 1)
+    b, D = _batch._block_digits(p), _int64_digits(p)
+    idx = np.array([(1 << 63) - 1, (1 << 63) - 2, p ** (D - 1) - 1], dtype=np.int64)
+    digits = [int(idx[0]) // p ** i % p for i in range(D)]    # weight p^i
+    rows = np.zeros((D + 1, 1), dtype=np.int64)
+    rows[0] = p - 1                                          # the lead row
+    for start in range(0, D, b):
+        i = next((i for i in range(start, min(start + b, D)) if digits[i]), None)
+        if i is not None:
+            rows[D - i] = (p - 1) * pow(digits[i], -1, p) % p
+    sb = _batch.SupportBlockMatrix(t, (0,), rows)
+    assert sb.tables[0].dtype == _batch.lazy_dtype(p, 1) == np.int8
+    assert len(sb.tables) == -(-(D + 1) // b)
+    assert (-(-D // b) + 1) * (p - 1) <= 127
+    _assert_index_maps_match(sb, 0, idx)
+    got = sb.index_maps(idx, 0)
+    want = (p - 1) * (1 + sum(1 for s in range(0, D, b)
+                              if any(digits[s:s + b]))) % p
+    assert int(got[0, 0]) == want
+
+
+def test_index_maps_sums_fit_their_dtype():
+    # the bound index_maps relies on, over every prime p below 2^12 and
+    # every degree d at which lazy_dtype changes: an int64 index spans at
+    # most ceil(D / b) tables, and with the lead that many residues plus one
+    # must fit lazy_dtype(p, d); so must the b residues a table sums before
+    # its reduction
+    for p in (q for q in range(2, 1 << 12) if is_prime(q)):
+        b, D = _batch._block_digits(p), _int64_digits(p)
+        assert p ** b <= _batch.TABLE_SPAN or b == 1
+        for d in (1, 2, 3, 7, 8, 31, 32, 64, 130):
+            top = np.iinfo(_batch.lazy_dtype(p, d)).max
+            assert (-(-D // b) + 1) * (p - 1) <= top and b * (p - 1) <= top
 
 
 @pytest.mark.parametrize("pen", [(2, 1, 1), (5, 1, 1), (2, 1, 7), (3, 1, 5), (2, 2, 3),
@@ -654,7 +794,9 @@ def test_support_block_products_exact(pen):
             assert sb.L.dtype == np.int64 and general.L.dtype == np.int64
 
 
-@pytest.mark.parametrize("p, c, dtype", [(181, 1, np.int16), (181, 2, np.int32),
+@pytest.mark.parametrize("p, c, dtype", [(3, 31, np.int8), (3, 32, np.int16),
+                                         (5, 7, np.int8), (5, 8, np.int16),
+                                         (181, 1, np.int16), (181, 2, np.int32),
                                          (32771, 1, np.int32), (32771, 2, np.int64),
                                          (2147483647, 2, np.int64),
                                          (2147483647, 3, object)])
@@ -823,3 +965,40 @@ def test_frob_p_matrix_builds_no_tables():
     assert t.order <= fields.TABLE_CAP
     t.frob_p_matrix(3)
     assert t._tables is None
+
+
+def test_int8_elimination_at_its_limit():
+    # lazy_dtype(3, 31) is int8: entries reach 2 + 31 * 4 = 126.  Square and
+    # taller batches of all-2 matrices (rank 1), of 2 on and below the
+    # diagonal (full rank), and random ones, against rref_modp
+    p, c = 3, 31
+    assert _batch.lazy_dtype(p, c) is np.int8 and _batch.lazy_dtype(p, c + 1) is np.int16
+    assert _batch.lazy_dtype(5, 7) is np.int8
+    gen = np.random.default_rng(31)
+    for r in (31, 40):
+        full = np.full((r, c), p - 1)
+        lower = np.tril(full)
+        rand = gen.integers(0, p, size=(6, r, c))
+        sparse = rand * (gen.random((6, r, c)) < 0.2)
+        mats = [full, lower, *rand, *sparse]
+        ranks = _assert_reduced_like_rref([m.tolist() for m in mats], p)
+        assert ranks[0] == 1 and ranks[1] == c
+
+
+def test_stacked_ranks_of_batches_not_c_contiguous():
+    # batch-last maps seen as (B, r, c) are not C-contiguous.  The stacked
+    # batch kept their layout, batch_rank reduced a C-ordered copy, and the
+    # top rank was read off the unreduced batch: on the curve engine's first
+    # x block at q=2 n=8, rank M_H 8 against rank [M_H; M_W] 6
+    gen = np.random.default_rng(5)
+    for p in (2, 3, 7):
+        low = gen.integers(0, p, size=(2, 12, 3, 50)) * (gen.random((2, 12, 3, 50)) < 0.5)
+        both = np.einsum("xrib,xicb->xrcb", low, gen.integers(0, p, size=(2, 3, 6, 50))) % p
+        top, bottom = (m.astype(np.int8).transpose(2, 0, 1) for m in (both[0][:6], both[1]))
+        assert not top.flags.c_contiguous
+        got = _batch.stacked_ranks(top, bottom, p)
+        want_top = _batch.batch_rank(np.array(top), p)
+        want_both = _batch.batch_rank(np.concatenate([top, bottom], axis=1).copy(), p)
+        assert got[0].tolist() == want_top.tolist()
+        assert got[1].tolist() == want_both.tolist()
+        assert (got[0] <= got[1]).all() and got[0].min() < 6
