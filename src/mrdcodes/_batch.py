@@ -13,7 +13,9 @@ sum of one row per block of digits from tables of L's digit combinations
 (the table idea of the Method of Four Russians), built batch-last.
 Ranks are taken by Gauss-Jordan vectorized over the batch dimension, which
 is laid out last, (r, c, B), so that every step is a sweep over contiguous
-rows of the batch.  At odd p the entries grow lazily between reductions
+rows of the batch.  Every batch is held in that layout and reduced through
+eliminate(); only batch_rank, for batch-first (B, r, c) batches, transposes
+to it and back.  At odd p the entries grow lazily between reductions
 mod p, in the smallest integer dtype their bound fits (lazy_dtype; int8 at
 p = 3 up to 31 columns).  At p = 2 the batch dimension is packed into bits,
 eight matrices to a byte, and elimination is AND, OR and XOR on the packed
@@ -33,7 +35,7 @@ import math
 
 import numpy as np
 
-from .fields import _residue_dtype, span_modp
+from .fields import span_modp
 
 INVERSE_TABLE_MAX = 1 << 20   # largest p whose inverses come from a table
 TABLE_SPAN = 256              # most rows of a digit table of two or more digits
@@ -59,16 +61,8 @@ def inverses(a: np.ndarray, p: int) -> np.ndarray:
                     dtype=a.dtype).reshape(a.shape)
 
 
-def work_dtype(p: int):
-    """The dtype of the residue batches batch_rank reduces in place:
-    products of two residues must fit it, so int32, then int64, then Python
-    ints (object) once (p-1)^2 >= 2^63, the rule of fields.rref_modp.  The
-    elimination itself runs in lazy_dtype(p, c)."""
-    return np.int32 if (p - 1) ** 2 < 1 << 31 else _residue_dtype(p)
-
-
 def lazy_dtype(p: int, c: int):
-    """The dtype _modp_eliminate works in on matrices of c columns, in which
+    """The dtype eliminate works in on matrices of c columns, in which
     SupportBlockMatrix.index_maps builds its maps.  The entries start as
     residues and each of the c column steps subtracts at most one product
     of two residues, so every entry stays within (p-1) + c*(p-1)^2: the
@@ -82,36 +76,35 @@ def lazy_dtype(p: int, c: int):
     return object
 
 
-def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks over F_p of a batch of matrices of residues, shape (B, r, c).
-    Destroys input.
+def eliminate(m: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over F_p of the B matrices of residues m[:, :, b], shape
+    (r, c, B) of dtype lazy_dtype(p, c), which are reduced in place.
 
-    Gauss-Jordan vectorized over the batch: per column, each matrix picks its
-    first unused row with a nonzero entry and clears the column from every
-    other row with it.  Both paths eliminate the batch in the batch-last
-    layout (r, c, B): at p = 2 packed into bits, eight matrices to a byte
-    (_gf2_gauss_jordan), at odd p in lazy_dtype(p, c) with the entries
-    reduced mod p only where a column is tested (_modp_gauss_jordan).
-
-    A C-contiguous input of dtype work_dtype(p) is reduced in place, on both
-    paths to the same batch.  Pivot rows are left unnormalized; in the
-    reduced batch every used row has its first nonzero entry at its pivot
-    column, that column is zero in every other row, and the unused rows are
-    zero.
+    Gauss-Jordan vectorized over the batch: per column, each matrix picks
+    its first unused row with a nonzero entry and clears the column from
+    every other row with it.  At odd p that is _modp_eliminate; at p = 2
+    the batch is packed into bits, eight matrices to a byte, eliminated by
+    _gf2_eliminate and unpacked back into m.  Both leave the same reduced
+    batch: pivot rows unnormalized, every used row with its first nonzero
+    entry at its pivot column, that column zero in every other row, and
+    the unused rows zero.
     """
-    m = np.ascontiguousarray(mats, dtype=work_dtype(p))
-    if p == 2:
-        return _gf2_gauss_jordan(m)
-    return _modp_gauss_jordan(m, p)
+    if p != 2:
+        return _modp_eliminate(m, p)
+    B = m.shape[2]
+    bits = np.packbits(m, axis=2)                              # (r, c, ceil(B/8))
+    ranks = _gf2_eliminate(bits, B)
+    m[...] = np.unpackbits(bits, axis=2, count=B)
+    return ranks
 
 
-def _modp_gauss_jordan(m: np.ndarray, p: int) -> np.ndarray:
-    """batch_rank's elimination for any p, in place on m: transpose the
-    batch to (r, c, B) in lazy_dtype, eliminate it (_modp_eliminate), write
-    the reduced batch back."""
-    cols = np.ascontiguousarray(m.transpose(1, 2, 0), dtype=lazy_dtype(p, m.shape[2]))
-    ranks = _modp_eliminate(cols, p)
-    m[...] = cols.transpose(2, 0, 1)
+def batch_rank(mats: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over F_p of a batch of matrices of residues in the batch-first
+    layout (B, r, c), which is reduced in place: eliminate on a batch-last
+    copy, written back."""
+    m = np.ascontiguousarray(mats.transpose(1, 2, 0), dtype=lazy_dtype(p, mats.shape[2]))
+    ranks = eliminate(m, p)
+    mats[...] = m.transpose(2, 0, 1)
     return ranks
 
 
@@ -153,17 +146,6 @@ def _reduce(a: np.ndarray, p: int) -> None:
     a -= a // p * p
 
 
-def _gf2_gauss_jordan(m: np.ndarray) -> np.ndarray:
-    """batch_rank's elimination at p = 2, in place on m: pack the batch
-    into bits, eliminate them (_gf2_eliminate), unpack the reduced bits."""
-    B = m.shape[0]
-    bits = np.packbits(np.ascontiguousarray(m.transpose(1, 2, 0), dtype=np.uint8),
-                       axis=2)                                 # (r, c, ceil(B/8))
-    ranks = _gf2_eliminate(bits, B)
-    m[...] = np.unpackbits(bits, axis=2, count=B).transpose(2, 0, 1)
-    return ranks
-
-
 def _gf2_eliminate(bits: np.ndarray, B: int) -> np.ndarray:
     """Ranks of the B matrices packed in bits, shape (r, c, ceil(B/8)),
     which are reduced in place.
@@ -188,29 +170,32 @@ def _gf2_eliminate(bits: np.ndarray, B: int) -> np.ndarray:
 
 
 def stacked_ranks(top: np.ndarray, bottom: np.ndarray, p: int):
-    """(rank top, rank [top; bottom]) of two batches of shapes (B, r1, c)
-    and (B, r2, c), from one elimination of the stacked batch.  A lower row
-    becomes a pivot only where every unused top row is zero in its column,
-    so the top block is reduced exactly as it would be alone and its rank
-    is the number of its rows left nonzero.  The stacked batch is made
-    C-contiguous, so that batch_rank reduces it in place."""
-    m = np.ascontiguousarray(np.concatenate([top, bottom], axis=1), dtype=work_dtype(p))
-    both = batch_rank(m, p)
-    return m[:, :top.shape[1]].any(axis=2).sum(axis=1), both
+    """(rank top, rank [top; bottom]) of two batch-last batches of shapes
+    (r1, c, B) and (r2, c, B), from one elimination of the stacked batch,
+    which concatenating the rows makes a fresh array.  A lower row becomes a
+    pivot only where every unused top row is zero in its column, so the top
+    block is reduced exactly as it would be alone and its rank is the number
+    of its rows left nonzero."""
+    m = np.concatenate([top, bottom]).astype(lazy_dtype(p, top.shape[1]), copy=False)
+    both = eliminate(m, p)
+    return m[:top.shape[0]].any(axis=1).sum(axis=0), both
 
 
 def batch_kernels(mats: np.ndarray, p: int):
-    """(ranks, kernels) over F_p of a batch of matrices, shape (B, r, c).
+    """(ranks, kernels) over F_p of a batch-last batch of matrices, shape
+    (r, c, B), which is left as it is.
 
     kernels has shape (B, c, c); for matrix b its first c - ranks[b] rows
-    are a basis of {v : mats[b] v = 0}, one vector per free column fc in
-    increasing order, and its other rows are zero.  They are read off
-    batch_rank's reduced batch m: v[fc] = 1, v[pc] = -m[i, fc] / m[i, pc]
-    for the row i with pivot column pc, and 0 at the other free columns.
+    are a basis of {v : mats[:, :, b] v = 0}, one vector per free column fc
+    in increasing order, and its other rows are zero.  They are read off a
+    copy reduced by eliminate, seen as (B, r, c) and called m:
+    v[fc] = 1, v[pc] = -m[i, fc] / m[i, pc] for the row i with pivot column
+    pc, and 0 at the other free columns.
     """
-    m = np.array(mats, dtype=work_dtype(p), order="C")   # batch_rank reduces it in place
-    ranks = batch_rank(m, p)
-    c = m.shape[2]
+    c = mats.shape[1]
+    m = np.array(mats, dtype=lazy_dtype(p, c))
+    ranks = eliminate(m, p)
+    m = m.transpose(2, 0, 1)
     nz = m != 0
     lead = nz.argmax(axis=2)                                   # (B, r)
     pivot = (lead[:, :, None] == np.arange(c)) & nz.any(axis=2)[:, :, None]

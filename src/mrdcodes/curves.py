@@ -102,7 +102,8 @@ def count_V_cap_W(tower) -> int:
 
 def _v_cap_w_on_lines(tower, idx, mw) -> int:
     """Points of V cap W on the lines through the x of canonical indices
-    idx, mw their maps M_W: V at each y of ker M_W(x), by the closed form."""
+    idx, mw their maps M_W (batch-last): V at each y of ker M_W(x), by the
+    closed form."""
     t, p, d = tower, tower.p, tower.degree
     if t.tables is None:
         raise CapExceeded(f"V needs Zech tables; the field of {t.order} "
@@ -186,13 +187,13 @@ def _line_block(p, e, n, j):
 
 
 def _line_maps(tower, idx, j):
-    """The (len(idx), d, d) matrices over F_p of y -> (x^q - x^{q^j}) v +
+    """The d x d matrices over F_p of y -> (x^q - x^{q^j}) v +
     (y^{q^j} - y^q) u for the elements x of canonical indices idx: M_H for
-    j = 3, M_W for j = 2.  The digits of idx are the coordinates of x, so
-    the maps come from the digit tables of _line_block(j)."""
+    j = 3, M_W for j = 2, batch-last, shape (d, d, len(idx)).  The digits of
+    idx are the coordinates of x, so the maps come from the digit tables of
+    _line_block(j)."""
     t, d = tower, tower.degree
-    maps = _line_block(t.p, t.e, t.n, j).index_maps(idx)
-    return maps.reshape(d, d, -1).transpose(2, 0, 1)
+    return _line_block(t.p, t.e, t.n, j).index_maps(idx).reshape(d, d, -1)
 
 
 def _x_blocks(tower):
@@ -226,7 +227,8 @@ def _h_off_w(tower, xpos: int) -> np.ndarray:
     """Coordinate rows of the y with H(1,x,y) = 0 != W(1,x,y), x the element
     of canonical index xpos: ker M_H listed, ker M_W dropped."""
     p = tower.p
-    mh, mw = (_line_maps(tower, np.array([xpos], dtype=np.int64), j)[0] for j in (3, 2))
+    mh, mw = (_line_maps(tower, np.array([xpos], dtype=np.int64), j)[:, :, 0]
+              for j in (3, 2))
     ys = span_modp(nullspace_modp(mh, p), p)
     return ys[(ys @ mw.T % p).any(axis=1)]
 
@@ -237,16 +239,16 @@ def mrd_via_curve(tower):
     first x in canonical order with rank [M_H; M_W] > rank M_H, and the y of
     smallest canonical index in ker M_H minus ker M_W, give the first such
     point in canonical (x, y) order; `scanned` is its position plus one
-    (q^{2n} for MRD).  The point yields a witness codeword through the Moore
-    nullspace on A = (1, x, y).
+    (q^{2n} for MRD).  The witness is the codeword y -> H(1,x,y) divided by
+    u, Y^{q^3} + (t-1)Y^q - tY with t = a_3/u, which vanishes on 1, x and
+    y: the codeword of verify._codeword_from_h_point for that t.
 
     M_H and M_W depend on x only through u = x^q - x and a_j = x^q - x^{q^j},
     which x -> x + c leaves unchanged for c in F_q, so one x per coset
     x + F_q is ranked: its canonical minimum.  The first bad x of the full
     sweep is the minimum of its coset, so the sweep over the q^n / q minima
     stops at the same x."""
-    from .moore import _codeword_killing
-    from .verify import Certificate, VERDICT_MRD, _ms, _not_mrd
+    from .verify import Certificate, VERDICT_MRD, _codeword_from_h_point, _ms, _not_mrd
     t0 = time.perf_counter()
     t = tower
     code = SupportCode(t, (0, 1, 3), 1)
@@ -262,7 +264,9 @@ def mrd_via_curve(tower):
     canon = ys @ t.p ** np.arange(t.degree - 1, -1, -1, dtype=np.int64)
     first = int(np.argmin(canon))
     x, y = t.element_at(xpos), t.element(ys[first].tolist())
-    f = _codeword_killing(t, (1, x, y), (0, 1, 3))
+    xq = t.frobenius_q(x, 1)
+    a3 = t.sub(xq, t.frobenius_q(x, 3))
+    f = _codeword_from_h_point(t, t.mul(a3, t.inv(t.sub(xq, x))))
     return _not_mrd(code, "curve", f, xpos * t.order + int(canon[first]) + 1, t0,
                     point=[t.coords(x), t.coords(y)])
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import _batch
 from .fields import (CapExceeded, make_tower, nullspace_modp, rref_modp, solve_modp,
-                     span_modp, subtract_p_once)
+                     span_modp, subtract_p_once, tower_from_descriptor)
 from .linpoly import LinPoly, fq_independent
 from .codes import SupportCode, adjoint_support, ds_support, dual_support
 
@@ -94,8 +94,14 @@ def validate_certificate(cert: Certificate) -> bool:
     present) must agree with a fresh run of the trinomial criterion; other
     MRD scan and Moore certificates must be of a Gabidulin support or agree
     with a fresh run of their engine on the same budget.  Unknown methods
-    fail."""
-    tw = make_tower(cert.tower["p"], cert.tower["e"], cert.tower["n"])
+    fail, and so does a tower descriptor that is malformed or whose modulus
+    is missing or not the tower's."""
+    try:
+        tw = tower_from_descriptor(cert.tower)
+    except (KeyError, TypeError, ValueError):
+        return False
+    if "modulus" not in cert.tower:
+        return False
     desc = cert.code_desc
     if desc.get("kind") != "support" or cert.method not in METHODS:
         return False
@@ -309,7 +315,7 @@ def trinomial_criterion(tower, workers: int = 1) -> Certificate:
     first = int(tw.canonical_index(bad).min())
     bad_t = tw.element_at(first)
     z1, z2 = _trace_zero_kernel_pair(tw, bad_t)
-    f = _codeword_from_h_point(tw, z1, z2)
+    f = _codeword_from_h_point(tw, bad_t)
     return _not_mrd(code, "trinomial", f, first + 1, t0, t=tw.coords(bad_t),
                     trace_zero_roots=[tw.coords(z1), tw.coords(z2)])
 
@@ -392,14 +398,15 @@ def _trace_zero_kernel_pair(tower, t_elem):
     return cand[0], cand[1]
 
 
-def _codeword_from_h_point(tower, z1, z2) -> LinPoly:
-    """Turn two independent trace-zero roots into a {0,1,3} codeword with a
-    3-dimensional kernel: lift through x^q - x = z, then take the nullspace of
-    the 3x3 Moore matrix on A = (1, x, y)."""
-    from .moore import _codeword_killing
-    x = artin_schreier_preimage(tower, z1)
-    y = artin_schreier_preimage(tower, z2)
-    return _codeword_killing(tower, (1, x, y), (0, 1, 3))
+def _codeword_from_h_point(tower, t_elem) -> LinPoly:
+    """The {0,1,3} codeword X^{q^3} + (t-1)X^q - tX for a bad t, which is
+    (Z^{q^2} + Z^q + tZ) o (X^q - X).  Its kernel is F_q plus the
+    Artin-Schreier preimage of the trace-zero kernel meet of the trinomial,
+    F_q-dimension 1 + 2 = 3 when that meet is 2-dimensional.  Up to a
+    scalar it is the codeword vanishing on (1, x, y) for any two lifts x, y
+    of F_q-independent roots in the meet, with its X^{q^3} coefficient 1."""
+    return LinPoly.from_support(tower, (0, 1, 3),
+                                (tower.neg(t_elem), tower.sub(t_elem, 1), 1))
 
 
 # ----------------------------------------------------------------------------

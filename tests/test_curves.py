@@ -384,7 +384,7 @@ def test_line_ranks_constant_on_cosets(p, e, n):
     for _ in range(6):
         x = t.element_at(draw.randrange(t.order))
         idx = np.array([t.canonical_index(t.add(x, c)) for c in t.subfield_elements])
-        mh, mw = (curves._line_maps(t, idx, j) for j in (3, 2))
+        mh, mw = (curves._line_maps(t, idx, j).transpose(2, 0, 1) for j in (3, 2))
         ranks = [_batch.batch_rank(np.array(m), p)
                  for m in (mh, mw, np.concatenate([mh, mw], axis=1))]
         for r in ranks:
@@ -461,4 +461,5 @@ def test_line_maps_match_coordinate_rows(p, e, n):
             idx = np.arange(start, min(start + size, t.order), dtype=np.int64)
             got = curves._line_maps(t, idx, j)
             assert got.dtype == _batch.lazy_dtype(p, t.degree)
-            assert np.array_equal(got, _line_maps_by_coordinates(t, idx, j))
+            assert got.shape == (t.degree, t.degree, idx.size)
+            assert np.array_equal(got, _line_maps_by_coordinates(t, idx, j).transpose(1, 2, 0))

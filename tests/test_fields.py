@@ -295,9 +295,12 @@ def test_batch_rank_matches_elimination(p, r, c, B, rnd):
 
 
 def _generic_batch_rank(mats, p):
-    """batch_rank through the mod-p eliminator whatever p is."""
-    m = np.ascontiguousarray(mats, dtype=_batch.work_dtype(p))
-    return _batch._modp_gauss_jordan(m, p)
+    """batch_rank through the mod-p eliminator whatever p is: _modp_eliminate
+    on a batch-last copy, the reduced batch written back."""
+    m = np.ascontiguousarray(mats.transpose(1, 2, 0), dtype=_batch.lazy_dtype(p, mats.shape[2]))
+    ranks = _batch._modp_eliminate(m, p)
+    mats[...] = m.transpose(2, 0, 1)
+    return ranks
 
 
 @settings(max_examples=40, deadline=None)
@@ -326,9 +329,10 @@ def test_gf2_elimination_matches_generic(r1, r2, c, B, seed):
         fast, slow = mats.astype(np.int32), mats.astype(np.int32)
         assert _batch.batch_rank(fast, 2).tolist() == _generic_batch_rank(slow, 2).tolist()
         assert np.array_equal(fast, slow)
+    top, bottom = top.transpose(1, 2, 0), bottom.transpose(1, 2, 0)   # batch-last
     got = _batch.stacked_ranks(top, bottom, 2), _batch.batch_kernels(top, 2)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_batch, "batch_rank", _generic_batch_rank)
+        mp.setattr(_batch, "eliminate", _batch._modp_eliminate)
         want = _batch.stacked_ranks(top, bottom, 2), _batch.batch_kernels(top, 2)
     for a, b in zip(got, want):
         for x, y in zip(a, b):
@@ -570,16 +574,29 @@ def test_mult_matrix_against_columns(pen):
         assert M.dtype == np.int64 and M.tolist() == np.array(cols).T.tolist()
 
 
+BEYOND_INT64 = 4294967311   # (p-1)^2 >= 2^63: products of residues need Python ints
+
+
+def _batch_last_layouts(mats):
+    """A batch-first batch (B, r, c) as batch-last (r, c, B) arrays in four
+    layouts: C-ordered, a transposed view, Fortran-ordered, and a view of
+    every other matrix of a batch twice as long."""
+    last = mats.transpose(1, 2, 0)
+    return [np.ascontiguousarray(last), last, np.asfortranarray(last),
+            np.repeat(last, 2, axis=2)[:, :, ::2]]
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from((2, 3, 5, 7, 251)), st.integers(1, 6), st.integers(1, 6),
-       st.randoms(use_true_random=False))
+@given(st.sampled_from((2, 3, 5, 7, 251, BEYOND_INT64)), st.integers(1, 6),
+       st.integers(1, 6), st.randoms(use_true_random=False))
 def test_batch_kernels_against_rref(p, r, c, rnd):
     # one batch: the zero matrix, a full-rank one (unit pivots on a diagonal,
     # random above, rows and columns shuffled), products X @ Y of every
-    # inner dimension below min(r, c), and uniform draws
+    # inner dimension below min(r, c), and uniform draws; batch-last in
+    # every layout of _batch_last_layouts, which batch_kernels leaves as is
     def draw(rows, cols):
         return np.array([rnd.randrange(p) for _ in range(rows * cols)],
-                        dtype=np.int64).reshape(rows, cols)
+                        dtype=object if p == BEYOND_INT64 else np.int64).reshape(rows, cols)
 
     full = np.triu(draw(r, c), 1) + np.eye(r, c, dtype=np.int64)
     full = full[rnd.sample(range(r), r)][:, rnd.sample(range(c), c)]
@@ -587,21 +604,26 @@ def test_batch_kernels_against_rref(p, r, c, rnd):
     mats += [draw(r, k) @ draw(k, c) % p for k in range(1, min(r, c))]
     mats += [draw(r, c) for _ in range(3)]
     mats = np.array(mats)
-    ranks, kernels = _batch.batch_kernels(mats, p)
-    assert kernels.shape == (len(mats), c, c)
-    for m, rk, basis in zip(mats, ranks.tolist(), kernels):
-        assert rk == len(rref_modp(m, p)[1])
-        assert not basis[c - rk:].any()
-        basis = basis[:c - rk]
-        assert not (m @ basis.T % p).any()
-        assert len(rref_modp(basis, p)[1]) == c - rk
-        assert basis.tolist() == [v.tolist() for v in nullspace_modp(m, p)]
-    assert ranks[1] == min(r, c) and ranks[0] == 0
+    for layout in _batch_last_layouts(mats):
+        before = layout.copy()
+        ranks, kernels = _batch.batch_kernels(layout, p)
+        assert np.array_equal(layout, before)
+        assert kernels.shape == (len(mats), c, c)
+        for m, rk, basis in zip(mats, ranks.tolist(), kernels):
+            assert rk == len(rref_modp(m, p)[1])
+            assert not basis[c - rk:].any()
+            basis = basis[:c - rk]
+            assert not (m @ basis.T % p).any()
+            assert len(rref_modp(basis, p)[1]) == c - rk
+            assert basis.tolist() == [v.tolist() for v in nullspace_modp(m, p)]
+        assert ranks[1] == min(r, c) and ranks[0] == 0
 
 
 def test_stacked_ranks_top_block():
     # the top rows' pivot count in one elimination of [top; bottom] is the
-    # rank of top alone; low inner dimensions make both blocks deficient
+    # rank of top alone; low inner dimensions make both blocks deficient.
+    # Each pair in every layout of _batch_last_layouts, against batch_rank
+    # and rref_modp
     gen = np.random.default_rng(0x5AC)
 
     def draw(B, rows, cols, p):
@@ -609,15 +631,23 @@ def test_stacked_ranks_top_block():
         inner = gen.integers(0, min(rows, cols) + 1, size=(B, 1, 1))
         X = gen.integers(0, p, size=(B, rows, width))
         Y = gen.integers(0, p, size=(B, width, cols))
-        return np.where(np.arange(width) < inner, X, 0) @ Y % p
+        X = np.where(np.arange(width) < inner, X, 0)
+        if p == BEYOND_INT64:
+            X, Y = X.astype(object), Y.astype(object)
+        return X @ Y % p
 
-    for p in (2, 3, 5, 7):
+    for p in (2, 3, 5, 7, BEYOND_INT64):
         for r1, r2, c in ((3, 3, 3), (4, 2, 5), (2, 5, 4), (6, 6, 6), (7, 7, 7)):
-            top, bottom = draw(200, r1, c, p), draw(200, r2, c, p)
-            rank_top, rank_both = _batch.stacked_ranks(top, bottom, p)
-            assert rank_top.tolist() == _batch.batch_rank(top.copy(), p).tolist()
+            B = 20 if p == BEYOND_INT64 else 200
+            top, bottom = draw(B, r1, c, p), draw(B, r2, c, p)
             both = np.concatenate([top, bottom], axis=1)
-            assert rank_both.tolist() == _batch.batch_rank(both, p).tolist()
+            want_top = [len(rref_modp(m, p)[1]) for m in top]
+            want_both = [len(rref_modp(m, p)[1]) for m in both]
+            assert _batch.batch_rank(top.copy(), p).tolist() == want_top
+            assert _batch.batch_rank(both, p).tolist() == want_both
+            for t, b in zip(_batch_last_layouts(top), _batch_last_layouts(bottom)):
+                rank_top, rank_both = _batch.stacked_ranks(t, b, p)
+                assert rank_top.tolist() == want_top and rank_both.tolist() == want_both
 
 
 @settings(max_examples=60, deadline=None)
@@ -724,7 +754,7 @@ def _assert_reduced_like_rref(mats, p):
     """batch_rank of mats (lists of residues, of one shape) matches
     rref_modp: the reduced batch holds rref's nonzero rows, unnormalized and
     each in its pivot row's place."""
-    m = np.array(mats, dtype=_batch.work_dtype(p))
+    m = np.array(mats, dtype=object)
     ranks = _batch.batch_rank(m, p)
     for a, red, rk in zip(mats, m, ranks.tolist()):
         want, pivots = rref_modp(a, p)
@@ -748,7 +778,7 @@ def test_batch_rank_past_the_inverse_table(p):
         mats.append([[sum(X[i][k] * Y[k][j] for k in range(inner)) % p
                       for j in range(3)] for i in range(3)])
     _assert_reduced_like_rref(mats, p)
-    ranks, kernels = _batch.batch_kernels(np.array(mats, dtype=object), p)
+    ranks, kernels = _batch.batch_kernels(np.array(mats, dtype=object).transpose(1, 2, 0), p)
     for a, basis, rk in zip(mats, kernels, ranks.tolist()):
         assert [[int(v) for v in b] for b in basis[:3 - rk]] == \
             [[int(v) for v in b] for b in nullspace_modp(a, p)]
@@ -761,10 +791,11 @@ def test_batch_kernels_of_batches_not_c_contiguous():
                      [[0, 2, 1], [1, 0, 2]]])
     for batch, p in [(mats, 3), (mats, 5), (mats.transpose(0, 2, 1), 3),
                      (mats.transpose(0, 2, 1), 7)]:
-        for layout in (np.asfortranarray(batch), batch, batch[:, ::-1]):
+        for layout in (*_batch_last_layouts(batch), batch.transpose(1, 2, 0)[::-1]):
             ranks, kernels = _batch.batch_kernels(layout, p)
-            c = layout.shape[2]
-            for m, rk, basis in zip(layout, ranks.tolist(), kernels):
+            c = layout.shape[1]
+            for b, (rk, basis) in enumerate(zip(ranks.tolist(), kernels)):
+                m = layout[:, :, b]
                 assert basis[:c - rk].tolist() == [v.tolist() for v in nullspace_modp(m, p)]
                 assert not basis[c - rk:].any()
 
@@ -986,19 +1017,20 @@ def test_int8_elimination_at_its_limit():
 
 
 def test_stacked_ranks_of_batches_not_c_contiguous():
-    # batch-last maps seen as (B, r, c) are not C-contiguous.  The stacked
+    # batch-last maps seen as (B, r, c) were not C-contiguous.  The stacked
     # batch kept their layout, batch_rank reduced a C-ordered copy, and the
     # top rank was read off the unreduced batch: on the curve engine's first
-    # x block at q=2 n=8, rank M_H 8 against rank [M_H; M_W] 6
+    # x block at q=2 n=8, rank M_H 8 against rank [M_H; M_W] 6.  The maps
+    # now stay batch-last, in whatever layout they come
     gen = np.random.default_rng(5)
     for p in (2, 3, 7):
         low = gen.integers(0, p, size=(2, 12, 3, 50)) * (gen.random((2, 12, 3, 50)) < 0.5)
         both = np.einsum("xrib,xicb->xrcb", low, gen.integers(0, p, size=(2, 3, 6, 50))) % p
         top, bottom = (m.astype(np.int8).transpose(2, 0, 1) for m in (both[0][:6], both[1]))
-        assert not top.flags.c_contiguous
-        got = _batch.stacked_ranks(top, bottom, p)
         want_top = _batch.batch_rank(np.array(top), p)
-        want_both = _batch.batch_rank(np.concatenate([top, bottom], axis=1).copy(), p)
-        assert got[0].tolist() == want_top.tolist()
-        assert got[1].tolist() == want_both.tolist()
-        assert (got[0] <= got[1]).all() and got[0].min() < 6
+        want_both = _batch.batch_rank(np.concatenate([top, bottom], axis=1), p)
+        for t, b in zip(_batch_last_layouts(top), _batch_last_layouts(bottom)):
+            got = _batch.stacked_ranks(t, b, p)
+            assert got[0].tolist() == want_top.tolist()
+            assert got[1].tolist() == want_both.tolist()
+            assert (got[0] <= got[1]).all() and got[0].min() < 6

@@ -38,7 +38,9 @@ def rank_sweep_criterion(tw):
         if bad.size:
             bad_t = tw.element_at(start + int(bad[0]))
             z1, z2 = verify._trace_zero_kernel_pair(tw, bad_t)
-            f = verify._codeword_from_h_point(tw, z1, z2)
+            # the codeword vanishing on 1 and Artin-Schreier lifts of z1, z2
+            x, y = (verify.artin_schreier_preimage(tw, z) for z in (z1, z2))
+            f = moore._codeword_killing(tw, (1, x, y), (0, 1, 3))
             witness = {"t": tw.coords(bad_t),
                        "trace_zero_roots": [tw.coords(z1), tw.coords(z2)],
                        "codeword": f.to_json(), "kernel_dim": f.kernel_dim()}
@@ -404,6 +406,39 @@ def test_forged_certificates_rejected():
     forged = verify.Certificate(code.descriptor(), "MRD", "moore", None, 200_787,
                                 t.descriptor(), 0.0)
     assert not verify.validate_certificate(forged)
+
+
+def test_certificates_on_another_tower_rejected():
+    # the tower is rebuilt from its descriptor: a modulus that is missing or
+    # not the deterministic one, or a descriptor that names no tower, fails
+    # (a bad modulus used to pass unread, and p = 4 or n = 0 used to raise)
+    t = make_tower(2, 1, 7)
+    cert = verify.decide(named_family("C7", t))
+    assert cert.method == "trinomial" and verify.validate_certificate(cert)
+    other = [1, 1, 0, 0, 0, 0, 0, 1]           # another irreducible of degree 7
+    assert other != list(t.modulus)
+    bare = {"p": 2, "e": 1, "n": 7}
+    for tower in ({**bare, "modulus": [5]}, {**bare, "modulus": other}, bare,
+                  {"p": 4}, {"n": 0}, {**t.descriptor(), "p": 4},
+                  {**t.descriptor(), "n": 0}, {**t.descriptor(), "e": "one"}):
+        forged = verify.Certificate.from_json({**cert.to_json(), "tower": tower})
+        assert not verify.validate_certificate(forged), tower
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (2, 7), (3, 8), (4, 7), (5, 6)])
+def test_trinomial_witness_is_a_composition(q, n):
+    # X^{q^3} + (t-1)X^q - tX is (Z^{q^2} + Z^q + tZ) o (X^q - X); at the bad
+    # t it vanishes on F_q and on Artin-Schreier lifts of both roots
+    t = make_tower(*PE[q], n)
+    cert = verify.trinomial_criterion(t)
+    bad_t = t.element_from_json(cert.witness["t"])
+    f = verify._codeword_from_h_point(t, bad_t)
+    trinomial = LinPoly.from_support(t, (2, 1, 0), (1, 1, bad_t))
+    assert f == trinomial.compose(LinPoly.from_support(t, (1, 0), (1, t.neg(1))))
+    assert LinPoly.from_json(t, cert.witness["codeword"]) == f
+    for z in cert.witness["trace_zero_roots"]:
+        x = verify.artin_schreier_preimage(t, t.element_from_json(z))
+        assert f.eval(x) == 0 and f.eval(1) == 0
 
 
 def test_genuine_certificates_validate():
