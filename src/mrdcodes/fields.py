@@ -26,7 +26,12 @@ is stored once, so a sum of logs is reduced mod Q-1 before it indexes
 exp; a difference of two logs lies in (-(Q-1), Q-1) and indexes exp as
 it is, since numpy counts a negative index from the end.  A product of a
 log with an exponent can pass 2^31, so such products are taken in int64
-or Python ints.
+or Python ints.  The tables are built in blocks of _ZECH_BLOCK powers of
+the primitive element, each block the first one times a multiplication
+matrix, with no scalar field arithmetic in the loop: at odd p in digits
+reduced by floor division, at p = 2 packed, as XORs of byte tables of the
+matrix's packed columns.  Without tables, a power a^k is column 0 of
+Mult(a)^k, by square-and-multiply on matrices.
 
 Enumeration always uses the canonical element order: element #m has
 coordinates c_i = (m // p**(d-1-i)) % p, i.e. coordinate tuples in ascending
@@ -400,13 +405,21 @@ class FieldTower:
         raise RuntimeError("no primitive element found (internal fault)")
 
     def _pow_fallback(self, a, k):
-        r = 1
+        """a^k without tables: column 0 of Mult(a)^k, the coordinates of
+        a^k * 1, by square-and-multiply on matrices through _matmul_modp.
+        The powers of Mult(a) commute, so the column is carried as one
+        vector and each set bit of k costs a matrix-vector product."""
+        p = self.p
+        col = np.zeros(self.degree, dtype=np.int64)
+        col[0] = 1
+        M = self.mult_matrix(a)
         while k:
             if k & 1:
-                r = self._mul_fallback(r, a)
-            a = self._mul_fallback(a, a)
+                col = _matmul_modp(M, col, p)
             k >>= 1
-        return r
+            if k:
+                M = _matmul_modp(M, M, p)
+        return self.element(col.tolist())
 
     @property
     def mult_powers(self) -> np.ndarray:
@@ -427,47 +440,66 @@ class FieldTower:
     def mult_matrix(self, a: int) -> np.ndarray:
         """d x d matrix over F_p of y -> a*y, columns indexed by power basis:
         sum_j a_j Mult(g^j) for the coordinates a_j of a."""
+        return self._mult_of_coords(np.array(self.coords(a)))
+
+    def _mult_of_coords(self, c: np.ndarray) -> np.ndarray:
+        """mult_matrix of the element with coordinate vector c."""
         d = self.degree
-        return _matmul_modp(np.array(self.coords(a)),
-                            self.mult_powers.reshape(d, d * d), self.p).reshape(d, d)
+        return _matmul_modp(c, self.mult_powers.reshape(d, d * d), self.p).reshape(d, d)
 
     def _build_tables(self):
-        """The `tables` of h, the smallest primitive element.  The first
-        _ZECH_BLOCK powers are built in digits by doubling (powers h^s.. from
-        h^0.. by one product with Mult(h^s)); every later block is that first
-        block times Mult(h^start).  Each block is packed by Horner's rule
-        straight into its slice of exp, so no Q-sized digit matrix or int64
-        array is formed."""
+        """The `tables` of h, the smallest primitive element, built block by
+        block into exp, so no Q-sized digit matrix or int64 array is formed.
+        The first _ZECH_BLOCK powers are built by doubling (h^s.. from h^0..
+        by one product with Mult(h^s)); every later block is that first
+        block times Mult(h^start).  Each multiplier comes from the last
+        power already held: its coordinates times Mult(h), with no scalar
+        field arithmetic.  At odd p a block is a digit-major array, packed
+        by Horner's rule into its slice of exp; at p = 2 it is packed from
+        the start, and a product is an XOR of byte tables of Mult's packed
+        columns (_times_packed_gf2)."""
         Q, d, p = self.order, self.degree, self.p
-        h = self._find_primitive()
-        # the digit matmul sums d products of digits below p
-        dtype = np.int16 if d * (p - 1) ** 2 < 1 << 15 else np.int64
+        mult_h = self.mult_matrix(self._find_primitive())
         size = min(_ZECH_BLOCK, Q - 1)
-        first = np.zeros((d, size), dtype=dtype)   # digit-major: column i is h^i
-        first[0, 0] = 1  # the element 1
+        if p == 2:
+            first = np.zeros(size, dtype=np.int32)   # packed: entry i is h^i
+        else:
+            # the digit matmul sums d products of digits below p
+            dtype = np.int16 if d * (p - 1) ** 2 < 1 << 15 else np.int64
+            first = np.zeros((d, size), dtype=dtype)   # digit-major: column i is h^i
+        first.flat[0] = 1   # the element 1
+
+        def times_next(last, X):
+            # X times Mult(h^(k+1)), for last the held power h^k
+            if p == 2:
+                last = int(last) >> np.arange(d) & 1
+            M = self._mult_of_coords(_matmul_modp(mult_h, last, p))
+            return _times_packed_gf2(M, X) if p == 2 else _times_digits(M, X, p)
+
         filled = 1
-        hs = h  # h^filled, then h^start, maintained by fallback arithmetic
         while filled < size:
             step = min(filled, size - filled)
-            first[:, filled:filled + step] = _times_digits(self.mult_matrix(hs),
-                                                           first[:, :step], p)
-            hs = self._mul_fallback(hs, self._pow_fallback(h, step))
+            first[..., filled:filled + step] = times_next(first[..., filled - 1],
+                                                          first[..., :step])
             filled += step
-        h_size = hs   # h^size, from one block start to the next
         exp = np.empty(Q - 1, dtype=np.int32)
         log = np.full(Q, -1, dtype=np.int32)
         for start in range(0, Q - 1, size):
             cnt = min(size, Q - 1 - start)
-            digits = first[:, :cnt]
+            block = first[..., :cnt]
             if start:
-                digits = _times_digits(self.mult_matrix(hs), digits, p)
-                hs = self._mul_fallback(hs, h_size)
-            block = exp[start:start + cnt]
-            block[:] = digits[d - 1]
-            for j in range(d - 2, -1, -1):   # Horner's rule
-                block *= p
-                block += digits[j]
-            log[block] = np.arange(start, start + cnt, dtype=np.int32)
+                block = times_next(last, block)
+            # a copy: a view would keep the whole block alive
+            last = block[..., -1].copy()
+            out = exp[start:start + cnt]
+            if p == 2:
+                out[:] = block
+            else:
+                out[:] = block[d - 1]
+                for j in range(d - 2, -1, -1):   # Horner's rule
+                    out *= p
+                    out += block[j]
+            log[out] = np.arange(start, start + cnt, dtype=np.int32)
         if log[1] != 0 or int(exp[0]) != 1:
             raise RuntimeError("table construction failed (internal fault)")
         return exp, log
@@ -648,13 +680,39 @@ def _times_digits(M, X, p):
     (d, B) whose dtype holds d(p-1)^2, as d rank-one updates: numpy runs
     them as vector operations, where its integer matmul, which has no BLAS,
     took seven to nine times as long at d = 8 to 22 and B = 2^14 (2-vCPU
-    Xeon, numpy 2.4)."""
+    Xeon, numpy 2.4).  The sum is reduced in place by floor division, as
+    _batch._reduce does, into the one scratch block: numpy's integer
+    remainder is not vectorized, and out -= out // p * p would allocate
+    two more blocks."""
     M = M.astype(X.dtype)
     out = M[:, :1] * X[0]
     tmp = np.empty_like(out)
     for j in range(1, len(X)):
         out += np.multiply(M[:, j:j + 1], X[j], out=tmp)
-    out %= p
+    np.floor_divide(out, p, out=tmp)
+    tmp *= p
+    out -= tmp
+    return out
+
+
+def _times_packed_gf2(M, x):
+    """M @ x over F_2 for a d x d matrix M and packed int32 elements x (bit
+    i is coordinate i), as packed int32: the XOR over k of T_k[(x >> 8k) &
+    255], where T_k[b] is the XOR of the packed columns 8k + i of M for
+    the set bits i of b (M4RI's tables; Albrecht, Bard and Hart, ACM TOMS
+    37(1), 2010)."""
+    d = len(M)
+    cols = (M << np.arange(d)[:, None]).sum(axis=0)   # packed columns
+    out = np.zeros_like(x)
+    idx = np.empty_like(x)
+    for k in range(0, d, 8):
+        chunk = cols[k:k + 8]
+        table = np.zeros(1 << len(chunk), dtype=x.dtype)
+        for i, c in enumerate(chunk):   # T[b + 2^i] = T[b] ^ column i
+            table[1 << i:2 << i] = table[:1 << i] ^ c
+        np.right_shift(x, k, out=idx)
+        idx &= len(table) - 1
+        out ^= table[idx]
     return out
 
 

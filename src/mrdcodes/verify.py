@@ -48,6 +48,11 @@ from .codes import SupportCode, adjoint_support, ds_support, dual_support
 
 DEFAULT_BUDGET = 1 << 28
 BATCH = 1 << 16
+# bytes of _t_histogram's largest block, its digits: below glibc's default
+# 128 KiB mmap threshold, so the blocks' buffers come from the heap,
+# whatever was freed before; mapped afresh, they took 400-600 page faults
+# per pass over the eight {0,1,3} towers of perfbench's support013
+HIST_BYTES = 1 << 16
 FIRST_CHUNK = 1 << 10
 
 VERDICT_MRD = "MRD"
@@ -337,9 +342,9 @@ def _t_histogram(tower):
     later b_l, that is u_0 b_i plus an F_p-combination of the rows of the
     later blocks.  Z and -(Z^{q^2} + Z^q) are both F_p-linear in Z, so each
     row carries the digits of both.  The combinations of the last rows, at
-    most BATCH of them, are built once; every block is a prefix of them
-    plus u_0 b_i plus one combination of the other later rows, so it costs
-    additions only."""
+    most BATCH of them and at most HIST_BYTES of digits, are built once;
+    every block is a prefix of them plus u_0 b_i plus one combination of
+    the other later rows, so it costs additions only."""
     exp, log = tower.tables
     d, e, n, p, q = tower.degree, tower.e, tower.n, tower.p, tower.q
     neg_base = -(tower.frob_q_matrix(2) + tower.frob_q_matrix(1)) % p
@@ -348,7 +353,7 @@ def _t_histogram(tower):
     dtype = np.min_scalar_type(2 * (p - 1))   # as span_modp, so subtract_p_once applies
     rows = np.concatenate([hyper, hyper @ neg_base.T % p], axis=1).astype(dtype)
     low = 0
-    while low < len(rows) - e and p ** (low + 1) <= BATCH:
+    while low < len(rows) - e and p ** (low + 1) <= min(BATCH, HIST_BYTES // (2 * d)):
         low += 1
     split = len(rows) - low
     low_block = np.ascontiguousarray(span_modp(rows[split:], p).T)   # digit-major

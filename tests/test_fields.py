@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -194,18 +195,49 @@ def test_table_mul_matches_fallback(pen, raw):
         assert t.mul(a, b) == t._mul_fallback(a, b)
 
 
+def _scalar_pow(t, a, k):
+    """a^k by square-and-multiply over _mul_fallback, with no matrices."""
+    r = 1
+    while k:
+        if k & 1:
+            r = t._mul_fallback(r, a)
+        a = t._mul_fallback(a, a)
+        k >>= 1
+    return r
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 1), (3, 1, 1), (2, 1, 7), (5, 1, 4), (2, 3, 4),
+                                 (3, 1, 9), (4294967311, 1, 1)])
+def test_pow_fallback_matches_scalar_square_and_multiply(pen):
+    # at p = 4294967311 the products of residues take _matmul_modp's object path
+    t = make_tower(*pen)
+    Q = t.order
+    r = random.Random(repr(pen))
+    ks = [0, 1, 2, Q - 2, Q - 1] + [r.randrange(Q) for _ in range(20)]
+    elems = {0, 1, t.generator, Q - 1} | {r.randrange(Q) for _ in range(3)}
+    for a in elems:
+        for k in ks:
+            assert t._pow_fallback(a, k) == _scalar_pow(t, a, k), (a, k)
+
+
 def _whole_matrix_tables(t):
     """The tables by the earlier build: a (Q-1) x d digit matrix of all the
-    powers of the primitive element, filled by doubling, packed in int64."""
+    powers of the primitive element, filled by doubling, packed in int64.
+    Its powers and multiplication matrices come from _mul_fallback alone,
+    none of the table build's code."""
     Q, d, p = t.order, t.degree, t.p
-    h = t._find_primitive()
+    fac = factorize(Q - 1)
+    h = next(h for h in map(t.element_at, range(1, Q))
+             if all(_scalar_pow(t, h, (Q - 1) // ell) != 1 for ell in fac))
     digits = np.zeros((Q - 1, d), dtype=np.int64)
     digits[0, 0] = 1
     filled, hs = 1, h
     while filled < Q - 1:
         step = min(filled, Q - 1 - filled)
-        digits[filled:filled + step] = digits[:step] @ t.mult_matrix(hs).T % p
-        hs = t._mul_fallback(hs, t._pow_fallback(h, step))
+        # row i of mult_t holds the coordinates of hs * g^i, g^i packed as p^i
+        mult_t = np.array([t.coords(t._mul_fallback(hs, p ** i)) for i in range(d)])
+        digits[filled:filled + step] = digits[:step] @ mult_t % p
+        hs = t._mul_fallback(hs, _scalar_pow(t, h, step))
         filled += step
     packed = digits @ np.array(t._pw, dtype=np.int64)
     log = np.full(Q, -1, dtype=np.int64)
@@ -214,9 +246,11 @@ def _whole_matrix_tables(t):
 
 
 @pytest.mark.parametrize("pen", [(2, 1, 1), (3, 1, 1), (2, 1, 8), (3, 1, 9), (2, 1, 16),
-                                 (2, 2, 7), (5, 1, 7)])
+                                 (2, 2, 7), (5, 1, 7), (2, 2, 8), (2, 1, 15), (7, 1, 5)])
 def test_streamed_tables_match_whole_matrix_build(pen):
-    # one block (Q - 1 <= 2^14), and 2, 4 and 5 blocks, the last one ragged
+    # one block (Q - 1 <= 2^14), and 2, 4 and 5 blocks, the last one ragged;
+    # p = 2 takes the packed path: 4 blocks at (2, 2, 8), 16,384 + 16,383
+    # at (2, 1, 15)
     # exp is stored once: the oracle's first Q - 1 entries
     t = make_tower(*pen)
     exp, log = t._build_tables()
@@ -263,6 +297,42 @@ def test_table_build_peak_is_tables_plus_a_block():
     block = t.degree * fields._ZECH_BLOCK * 8   # one block of int64 digits
     assert exp.nbytes + log.nbytes == 4 * (t.order - 1) + 4 * t.order
     assert peak <= exp.nbytes + log.nbytes + block
+
+
+def test_packed_table_build_peak_is_tables_plus_a_block():
+    # the p = 2 build, under the odd-p bound of the test above
+    t = make_tower(2, 1, 20)
+    tracemalloc.start()
+    try:
+        exp, log = t._build_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = t.degree * fields._ZECH_BLOCK * 8
+    assert exp.nbytes + log.nbytes == 4 * (t.order - 1) + 4 * t.order
+    assert peak <= exp.nbytes + log.nbytes + block
+
+
+# SHA-256 of exp.tobytes() and log.tobytes(), from the digit build that
+# packed every block by Horner's rule, before the packed p = 2 path
+TABLE_SHA256 = {
+    (7, 1, 7): ("c703c96b9a14c8e6ecb04f5811e4d98f92a5c2d03e83d78214e898416b8ad6ad",
+                "f2479272f9dcc8316ae3b26def09be6ec8b236636133e5ea0c4fa59e63ec5cc5"),
+    (5, 1, 8): ("e0c81ce4b209a695b64776039f88e7dbdb2f2cfd295e7c18b316de71fb86d765",
+                "07cd0dad998148c33eeba7405db828773b5e83630dbc3d04158205d657ae60a5"),
+    (2, 2, 8): ("c0e6d016c0c06c56a19861a1738f90ce0bc6c5319771732e1cf63b196ee155e1",
+                "ec4d6fafb45962487f486be90e9e279da3627e3a4205334567337c1cd506f2fc"),
+    (3, 1, 9): ("e9832a0105a327896633a0fa0e44c3e8ec0790fcab276ab6ed7c5a31fb3151f5",
+                "b2d685fc824257762ae92afb16b03f003c6a7f75ed326a967cb105724b993db0"),
+}
+
+
+@pytest.mark.parametrize("pen", sorted(TABLE_SHA256))
+def test_tables_match_pinned_checksums(pen):
+    exp, log = make_tower(*pen).tables
+    assert exp.dtype == np.int32 and log.dtype == np.int32
+    assert (hashlib.sha256(exp.tobytes()).hexdigest(),
+            hashlib.sha256(log.tobytes()).hexdigest()) == TABLE_SHA256[pen]
 
 
 @pytest.mark.parametrize("pen", [(5, 1, 7), (5, 1, 8)])
